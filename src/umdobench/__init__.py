@@ -41,11 +41,10 @@ from .driver import (
     OptimizerSettings,
     RobustEvaluator,
     RunResult,
-    make_robust_functions,
     optimize,
     percent_errors,
 )
-from .mda import MDAResult, MDASettings, coupling_jacobian, solve_mda
+from .mda import MDAResult, MDASettings, solve_mda
 from .qp import (
     QPData,
     QPSolution,
@@ -65,5 +64,4 @@ from .uq import (
     exact_stats,
     mc_estimate,
     mc_estimate_probability,
-    taylor_estimate,
 )

@@ -401,10 +401,7 @@ def run_benchmark(
             "epsilon": spec.epsilon,
         },
         optimizer={
-            "algorithm": optimizer.algorithm,
             "max_iter": optimizer.max_iter,
-            "x_tol": optimizer.x_tol,
-            "f_tol": optimizer.f_tol,
             "g_tol": optimizer.g_tol,
             "initial_trust_radius": optimizer.initial_trust_radius,
             "final_trust_radius": optimizer.final_trust_radius,

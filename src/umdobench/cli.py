@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import parse_estimator, report_to_json, run_benchmark, write_report
+from .bench import _resolve_workers, parse_estimator, report_to_json, run_benchmark, write_report
 from .driver import OptimizerSettings, RobustEvaluator, optimize
 from .errors import InfeasibleReferenceError, UmdoBenchError
 from .problem import (
@@ -222,6 +222,7 @@ def cmd_benchmark(args) -> int:
             parse_estimator(label)
         if args.repetitions < 1:
             raise ValueError("--repetitions must be >= 1")
+        _resolve_workers(args.workers, len(labels))
         spec = _statistic_spec(args.statistic, args.kappa)
         settings = OptimizerSettings(max_iter=args.max_iter)
         sigma = _sigma_model(problem, args.sigma)

@@ -20,13 +20,12 @@ import scipy.optimize
 from .errors import EvaluationError, UndefinedMetricError
 from .mda import MDASettings, solve_mda
 from .problem import UncertaintyModel, assemble
-from .uq import GaussianSampler, StatisticSpec, composed_value, exact_stats, mc_estimate
+from .uq import GaussianSampler, composed_value, exact_stats, mc_estimate
 
 __all__ = [
     "OptimizerSettings",
     "RunResult",
     "RobustEvaluator",
-    "make_robust_functions",
     "optimize",
     "percent_errors",
 ]
@@ -36,32 +35,25 @@ _ESTIMATORS = ("mc", "taylor", "exact")
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Budget and tolerances of the derivative-free optimizer.
+    """Budget and tolerances of the derivative-free optimizer (COBYLA).
 
-    ``max_iter`` caps objective evaluations. ``x_tol``/``f_tol`` stop the run
-    once consecutive iterates change by less than these relative amounts;
-    ``g_tol`` is the feasibility tolerance on the composed constraints. The
-    trust radius shrinks from ``initial_trust_radius`` to
-    ``final_trust_radius``. ``x0`` defaults to the midpoint of the unit box.
+    ``max_iter`` caps objective evaluations. ``g_tol`` is the feasibility
+    tolerance on the composed constraints. The trust radius shrinks from
+    ``initial_trust_radius`` to ``final_trust_radius``. ``x0`` defaults to
+    the midpoint of the unit box.
     """
 
-    algorithm: str = "cobyla"
     max_iter: int = 100
-    x_tol: float = 1e-8
-    f_tol: float = 1e-8
     g_tol: float = 1e-4
     initial_trust_radius: float = 0.5
     final_trust_radius: float = 1e-6
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.algorithm != "cobyla":
-            raise ValueError("algorithm must be 'cobyla'")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        for name in ("x_tol", "f_tol", "g_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        if not self.g_tol > 0:
+            raise ValueError("g_tol must be > 0")
         if not self.final_trust_radius < self.initial_trust_radius:
             raise ValueError("final_trust_radius must be below initial_trust_radius")
         if self.x0 is not None:
@@ -152,11 +144,10 @@ class RobustEvaluator:
             self.n_discipline_evals += result.iterations + 1
             y = result.y
             x0 = x[: self.system.d_shared]
-            _, _, P = self.system.linear_map
             # Constraints are linear in the noise with gradient -P', so the
             # first-order std is exact; the objective mean is the plain value
             # at the mean noise (the quadratic noise term is second order).
-            std = np.sqrt(np.maximum(np.diag(P @ self.sigma @ P.T), 0.0))
+            std = np.sqrt(np.diag(self.system.output_covariance(self.sigma)))
             f = float(x0 @ x0 + y @ y)
             g = composed_value(self.t - y, std, self.spec)
             return f, g
@@ -224,37 +215,14 @@ def _coerce_sigma_blocks(p_coupling, sigma):
     return tuple(blocks)
 
 
-def make_robust_functions(
-    problem,
-    sigma,
-    spec: StatisticSpec,
-    estimator: str,
-    mda_settings: MDASettings | None = None,
-    m: int = 200,
-    seed=0,
-):
-    """Build the statistic-wrapped objective and constraint callables.
-
-    Returns ``(obj, cons)`` bound to one shared :class:`RobustEvaluator`
-    (reachable as ``obj.__self__`` for evaluation counters). ``obj(x)`` is
-    the estimated objective expectation; ``cons(x)`` the composed constraint
-    statistic, feasible when <= 0.
-    """
-    evaluator = RobustEvaluator(
-        problem, sigma, spec, estimator, m=m, seed=seed, mda_settings=mda_settings
-    )
-    return evaluator.objective, evaluator.constraints
-
-
 def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | None = None) -> RunResult:
     """Minimize ``obj`` subject to ``cons(x) <= 0`` and the unit box.
 
     Runs COBYLA (linear-approximation trust region) with the box encoded as
-    extra linear constraints. Relative x/f stagnation below the configured
-    tolerances freezes the reported objective at the incumbent, letting the
-    trust radius wind down without further progress; the best iterate that is
-    feasible up to ``g_tol`` is returned. If no such iterate exists the least
-    infeasible one is returned with ``converged=False``.
+    extra linear constraints and returns the best iterate that is feasible up
+    to ``g_tol``; ``converged`` is COBYLA's own success flag. If no such
+    iterate exists the least infeasible one is returned with
+    ``converged=False``.
     """
     if settings is None:
         settings = OptimizerSettings()
@@ -272,7 +240,6 @@ def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | No
 
     evals_before = getattr(evaluator, "n_discipline_evals", 0)
     history = []
-    state = {"frozen": False, "prev": None, "n_calls": 0}
 
     def violation(x, g):
         box = max(float(np.max(-x, initial=0.0)), float(np.max(x - 1.0, initial=0.0)))
@@ -283,18 +250,6 @@ def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | No
         f = float(obj(x))
         g = np.atleast_1d(np.asarray(cons(x), dtype=float))
         history.append((x.copy(), f, g))
-        state["n_calls"] += 1
-        if state["frozen"]:
-            return state["frozen_f"]
-        prev = state["prev"]
-        if prev is not None and state["n_calls"] > x.size + 2:
-            px, pf = prev
-            x_small = np.linalg.norm(x - px) <= settings.x_tol * max(1.0, np.linalg.norm(px))
-            f_small = abs(f - pf) <= settings.f_tol * max(1.0, abs(pf))
-            if x_small and f_small:
-                state["frozen"] = True
-                state["frozen_f"] = f
-        state["prev"] = (x.copy(), f)
         return f
 
     constraints = [
@@ -325,7 +280,7 @@ def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | No
     feasible = [(x, f, g) for x, f, g in history if violation(x, g) <= settings.g_tol]
     if feasible:
         x_best, f_best, g_best = min(feasible, key=lambda rec: rec[1])
-        converged = bool(state["frozen"] or res.success)
+        converged = bool(res.success)
     else:
         x_best, f_best, g_best = min(history, key=lambda rec: violation(rec[0], rec[2]))
         converged = False
@@ -335,7 +290,7 @@ def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | No
         f_opt=f_best,
         g_opt=g_best,
         n_discipline_evals=getattr(evaluator, "n_discipline_evals", 0) - evals_before,
-        n_optimizer_iters=state["n_calls"],
+        n_optimizer_iters=len(history),
         converged=converged,
         estimator=getattr(evaluator, "estimator", "custom"),
         wall_time=wall,
@@ -343,8 +298,7 @@ def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | No
             "x0": x0.tolist(),
             "initial_trust_radius": settings.initial_trust_radius,
             "final_trust_radius": settings.final_trust_radius,
-            "stopped_by_stagnation": state["frozen"],
-            "n_objective_evals": state["n_calls"],
+            "n_objective_evals": len(history),
             "n_failed_samples": getattr(evaluator, "n_failed_samples", 0),
             "common_random_numbers": getattr(evaluator, "estimator", "") == "mc",
         },

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-__all__ = ["MDASettings", "MDAResult", "solve_mda", "coupling_jacobian"]
+__all__ = ["MDASettings", "MDAResult", "solve_mda"]
 
 _METHODS = ("jacobi", "gauss_seidel", "direct")
 
@@ -150,13 +150,3 @@ def solve_mda(
         in_domain=in_domain,
     )
 
-
-def coupling_jacobian(system):
-    """Exact affine sensitivities of the coupling solution.
-
-    Returns ``(alpha, beta, P)`` such that ``y(x, u) = alpha + beta @ x +
-    P @ u`` for every design point and noise realization: alpha is the
-    zero-design solution, beta the Jacobian with respect to the design and
-    P (the inverse coupling matrix) the Jacobian with respect to the noise.
-    """
-    return system.linear_map

@@ -28,6 +28,7 @@ import scipy.linalg
 
 from .errors import (
     CapacityError,
+    NumericalError,
     ProblemFormatError,
     ProblemVersionError,
     SingularCouplingError,
@@ -213,8 +214,9 @@ class BlockSystem:
     ``C`` carries identity diagonal blocks and the negated coupling blocks
     off the diagonal; ``D`` has its first ``d_shared`` columns dense and the
     remaining columns block diagonal; ``Qx0`` selects the shared design
-    variables in the quadratic objective. The LU factorization of ``C`` and
-    the derived linear maps are computed lazily and cached.
+    variables in the quadratic objective. The LU factorization of ``C``, the
+    derived linear maps and the output covariance of the last noise
+    covariance seen are computed lazily and cached.
     """
 
     def __init__(self, C, D, a, Qx0, p_coupling, d_shared, d_local):
@@ -225,6 +227,8 @@ class BlockSystem:
         self.p_coupling = tuple(p_coupling)
         self.d_shared = int(d_shared)
         self.d_local = tuple(d_local)
+        self._cov_key = None
+        self._cov_value = None
 
     @property
     def p(self) -> int:
@@ -266,13 +270,51 @@ class BlockSystem:
     def linear_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact affine coupling solution ``y = alpha + beta @ x + P @ u``.
 
-        Returns ``(alpha, beta, P)`` with ``P`` the inverse coupling matrix,
-        ``alpha = P @ a`` and ``beta = -P @ D``.
+        Returns ``(alpha, beta, P)``, valid for every design point and noise
+        realization: ``alpha = P @ a`` is the zero-design solution,
+        ``beta = -P @ D`` the Jacobian with respect to the design and ``P``
+        (the inverse coupling matrix) the Jacobian with respect to the noise.
         """
         P = scipy.linalg.lu_solve(self.lu, np.eye(self.p), check_finite=False)
         alpha = P @ self.a
         beta = -P @ self.D
         return alpha, beta, P
+
+    def output_covariance(self, sigma) -> np.ndarray:
+        """Covariance ``P Sigma P'`` of the coupling outputs under noise ``sigma``.
+
+        The coupling solution is affine in the noise, so every closed-form
+        statistic sees the noise only through this matrix: its diagonal holds
+        the propagated variances and its trace the expected quadratic noise
+        energy. The diagonal is clamped at zero once no component is negative
+        beyond round-off. The result is read-only and cached for the last
+        ``sigma`` seen (compared by value).
+
+        Raises
+        ------
+        ValueError
+            If ``sigma`` is not a symmetric (p, p) matrix.
+        NumericalError
+            If a propagated variance is negative beyond round-off.
+        """
+        sigma = np.asarray(sigma, dtype=float)
+        if self._cov_key is not None and np.array_equal(sigma, self._cov_key):
+            return self._cov_value
+        p = self.p
+        if sigma.shape != (p, p):
+            raise ValueError(f"sigma must have shape ({p}, {p}), got {sigma.shape}")
+        if not np.allclose(sigma, sigma.T, atol=1e-10):
+            raise ValueError("sigma must be symmetric")
+        _, _, P = self.linear_map
+        cov = P @ sigma @ P.T
+        var = np.diagonal(cov)
+        if var.min() < -1e-12 * max(1.0, abs(var).max()):
+            raise NumericalError(f"propagated variance has negative component {var.min():.3e}")
+        np.fill_diagonal(cov, np.maximum(var, 0.0))
+        cov.flags.writeable = False
+        self._cov_key = sigma.copy()
+        self._cov_value = cov
+        return cov
 
 
 def _capacity_check(config: ProblemConfig, max_elements: int) -> None:

@@ -26,7 +26,6 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 
-from .errors import NumericalError
 from .problem import _emit
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "check_positive_definite",
     "export_qp",
 ]
-
-_VARIANCE_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,22 +119,6 @@ class QPSolution:
     iterations: int = 0
 
 
-def _propagated_variance(P, sigma):
-    """diag(P Sigma P') with a guard against tiny negative round-off."""
-    sigma = np.asarray(sigma, dtype=float)
-    p = P.shape[0]
-    if sigma.shape != (p, p):
-        raise ValueError(f"sigma must have shape ({p}, {p}), got {sigma.shape}")
-    if not np.allclose(sigma, sigma.T, atol=1e-10):
-        raise ValueError("sigma must be symmetric")
-    var = np.einsum("ij,jk,ik->i", P, sigma, P)
-    if var.min() < -_VARIANCE_GUARD:
-        raise NumericalError(
-            f"propagated variance has negative component {var.min():.3e}"
-        )
-    return np.maximum(var, 0.0)
-
-
 def reduce_deterministic(system, t: float) -> QPData:
     """Eliminate the coupling variables of the noise-free problem.
 
@@ -159,11 +140,11 @@ def reduce_margin(system, t: float, sigma, kappa: float) -> QPData:
 
     The constraint right-hand side tightens by kappa propagated standard
     deviations per coupling output; the objective constant grows by the
-    expected quadratic noise energy trace(P'P Sigma).
+    expected quadratic noise energy trace(P'P Sigma). Both come from
+    :meth:`~umdobench.problem.BlockSystem.output_covariance`.
     """
     base = reduce_deterministic(system, t)
-    _, _, P = system.linear_map
-    var = _propagated_variance(P, sigma)
+    var = np.diag(system.output_covariance(sigma))
     return QPData(
         Q=base.Q,
         c=base.c,
@@ -197,12 +178,11 @@ def reduce_probability(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     base = reduce_deterministic(system, t)
-    _, _, P = system.linear_map
 
     if dist == "gaussian":
         if sigma is None:
             raise ValueError("gaussian reduction needs a covariance")
-        var = _propagated_variance(P, sigma)
+        var = np.diag(system.output_covariance(sigma))
         q = np.sqrt(var) * scipy.stats.norm.ppf(epsilon)
         noise_energy = float(var.sum())
     elif dist == "empirical":
@@ -211,6 +191,7 @@ def reduce_probability(
         sample = np.asarray(sample, dtype=float)
         if sample.ndim != 2 or sample.shape[1] != system.p:
             raise ValueError(f"sample must have shape (n, {system.p})")
+        _, _, P = system.linear_map
         propagated = sample @ P.T
         q = np.quantile(propagated, epsilon, axis=0)
         noise_energy = float(np.mean(np.sum(propagated ** 2, axis=1)))

@@ -1,17 +1,20 @@
 """Statistical estimators for the robust problem variants.
 
-Three estimators of the objective/constraint statistics are provided:
+Two estimators of the objective/constraint statistics are provided here:
 
 * Monte-Carlo sampling (:func:`mc_estimate`, :func:`mc_estimate_probability`):
   unbiased sample mean and (M-1)-denominator standard deviation over i.i.d.
   noise realizations, each evaluated through a caller-supplied function that
   typically runs one coupling solve per realization.
-* First-order Taylor expansion (:func:`taylor_estimate`): one evaluation at
-  the mean noise plus the analytic Jacobian with respect to the noise; exact
-  for outputs that are linear in the noise, biased for quadratic ones.
 * Closed forms (:func:`exact_stats`): ground truth available because the
   coupling solution is affine in both design and noise. Used as the oracle
-  when benchmarking the other two.
+  when benchmarking the sampled and Taylor estimators.
+
+The first-order Taylor estimator (one coupling solve at the mean noise plus
+the propagated standard deviation) is the ``"taylor"`` path of
+:class:`~umdobench.driver.RobustEvaluator`. Both it and :func:`exact_stats`
+read the noise through
+:meth:`~umdobench.problem.BlockSystem.output_covariance`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "GaussianSampler",
     "mc_estimate",
     "mc_estimate_probability",
-    "taylor_estimate",
     "exact_stats",
 ]
 
@@ -215,71 +217,31 @@ def mc_estimate_probability(fn, x, sampler, m: int, seed) -> np.ndarray:
     return np.mean(np.vstack(rows) >= 0.0, axis=0)
 
 
-def taylor_estimate(fn_value, fn_grad_u, x, sigma, spec: StatisticSpec | None = None) -> StatEstimate:
-    """First-order Taylor mean/std around the mean noise.
-
-    ``fn_value(x, u)`` evaluates the output at the mean noise (u = 0);
-    ``fn_grad_u(x, u)`` returns its gradient with respect to the noise, one
-    column per output component (shape (p,) for scalar outputs, (p, k) for
-    vector ones). The estimate is ``mean = fn_value(x, 0)`` and covariance
-    ``J' Sigma J``: exact for outputs linear in the noise, and missing the
-    quadratic correction otherwise. ``n_evals`` counts the value and the
-    Jacobian evaluation.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    u0 = np.zeros(sigma.shape[0])
-    mean = np.atleast_1d(np.asarray(fn_value(x, u0), dtype=float))
-    J = np.asarray(fn_grad_u(x, u0), dtype=float)
-    if J.ndim == 1:
-        J = J[:, None]
-    if J.shape != (sigma.shape[0], mean.size):
-        raise ValueError(
-            f"gradient must have shape ({sigma.shape[0]}, {mean.size}), got {J.shape}"
-        )
-    cov = J.T @ sigma @ J
-    var = np.diag(cov)
-    if var.size and var.min() < -1e-12 * max(1.0, abs(var).max()):
-        raise NumericalError("Taylor variance has a negative component")
-    std = np.sqrt(np.maximum(var, 0.0))
-    return StatEstimate(
-        mean=mean,
-        std=std,
-        value=composed_value(mean, std, spec),
-        n_evals=2,
-        estimator="taylor",
-    )
-
-
 def exact_stats(system, t: float, sigma, x, spec: StatisticSpec | None = None) -> ExactStats:
     """Closed-form statistics of the objective and constraints.
 
     The coupling solution is affine in the Gaussian noise, so everything is
     available in closed form: the objective mean carries the expected
-    quadratic noise energy ``trace(P'P Sigma)`` and its variance the usual
+    quadratic noise energy ``trace(P Sigma P')`` and its variance the usual
     linear-plus-quadratic Gaussian form; the constraint values ``t - y`` are
     Gaussian with mean ``Ax - b`` and standard deviation
     ``sqrt(diag(P Sigma P'))``. Serves as the ground-truth oracle for
     benchmarking the sampled estimators.
     """
     x = np.asarray(x, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    alpha, beta, P = system.linear_map
+    alpha, beta, _ = system.linear_map
     y_mean = alpha + beta @ x
     x_shared = x[: system.d_shared]
 
-    PSP = P @ sigma @ P.T
-    var_cons = np.diag(PSP).copy()
-    if var_cons.size and var_cons.min() < -1e-12 * max(1.0, abs(var_cons).max()):
-        raise NumericalError("propagated variance has a negative component")
-    var_cons = np.maximum(var_cons, 0.0)
+    cov = system.output_covariance(sigma)
+    var_cons = np.diag(cov)
     std_cons = np.sqrt(var_cons)
     noise_energy = float(var_cons.sum())
 
     obj_mean = float(x_shared @ x_shared + y_mean @ y_mean + noise_energy)
-    # Gaussian variance of |y_mean + PU|^2: linear term 4 y_mean' PSP y_mean
-    # plus quadratic term 2 tr((P'P Sigma)^2).
-    M_sigma = (P.T @ P) @ sigma
-    obj_var = float(4.0 * y_mean @ PSP @ y_mean + 2.0 * np.trace(M_sigma @ M_sigma))
+    # Gaussian variance of |y_mean + PU|^2: linear term 4 y_mean' cov y_mean
+    # plus quadratic term 2 tr(cov^2) = 2 |cov|_F^2.
+    obj_var = float(4.0 * y_mean @ cov @ y_mean + 2.0 * np.vdot(cov, cov))
     obj_std = math.sqrt(max(obj_var, 0.0))
 
     cons_mean = t - y_mean

@@ -216,6 +216,18 @@ def test_benchmark_stdout_json_without_out(problem_path, capsys):
     assert payload["repetitions"] == 1
 
 
+def test_benchmark_rejects_zero_workers(problem_path, capsys):
+    argv = ["benchmark", str(problem_path), "--estimators", "exact", "--workers", "0"]
+    assert main(argv) == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_benchmark_rejects_bad_worker_environment(problem_path, monkeypatch, capsys):
+    monkeypatch.setenv("UMDO_BENCH_THREADS", "many")
+    assert main(["benchmark", str(problem_path), "--estimators", "exact"]) == 2
+    assert "UMDO_BENCH_THREADS" in capsys.readouterr().err
+
+
 def test_benchmark_rejects_probability_statistic(problem_path, capsys):
     argv = ["benchmark", str(problem_path), "--statistic", "probability"]
     assert main(argv) == 2

@@ -14,7 +14,6 @@ from umdobench import (
 from umdobench.driver import (
     OptimizerSettings,
     RobustEvaluator,
-    make_robust_functions,
     optimize,
     percent_errors,
 )
@@ -36,9 +35,7 @@ MARGIN = StatisticSpec(constraint_stat="margin", kappa=2.0)
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        OptimizerSettings(algorithm="slsqp")
-    with pytest.raises(ValueError):
-        OptimizerSettings(x_tol=0.0)
+        OptimizerSettings(g_tol=0.0)
     with pytest.raises(ValueError):
         OptimizerSettings(initial_trust_radius=1e-8, final_trust_radius=0.5)
     with pytest.raises(ValueError):
@@ -69,12 +66,12 @@ def test_exact_functions_reduce_to_deterministic_qp():
     problem = tuned_problem(1)
     system = assemble(problem)
     qp = reduce_deterministic(system, problem.t)
-    obj, cons = make_robust_functions(problem, None, MARGIN, "exact")
+    evaluator = RobustEvaluator(problem, None, MARGIN, "exact")
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.random(system.d)
-        assert obj(x) == pytest.approx(qp.objective(x), rel=1e-12)
-        assert np.allclose(cons(x), qp.constraints(x), atol=1e-12)
+        assert evaluator.objective(x) == pytest.approx(qp.objective(x), rel=1e-12)
+        assert np.allclose(evaluator.constraints(x), qp.constraints(x), atol=1e-12)
 
 
 def test_taylor_margin_matches_closed_form():
@@ -84,7 +81,7 @@ def test_taylor_margin_matches_closed_form():
     system = assemble(problem)
     sigma = problem.uncertainty.sigma
     alpha, beta, P = system.linear_map
-    obj, cons = make_robust_functions(
+    evaluator = RobustEvaluator(
         problem, problem.uncertainty, MARGIN, "taylor",
         mda_settings=MDASettings(method="direct"),
     )
@@ -93,9 +90,9 @@ def test_taylor_margin_matches_closed_form():
     for _ in range(5):
         x = rng.random(system.d)
         expected = (problem.t - alpha - beta @ x) + 2.0 * std
-        assert np.max(np.abs(cons(x) - expected)) <= 1e-10
+        assert np.max(np.abs(evaluator.constraints(x) - expected)) <= 1e-10
         y = alpha + beta @ x
-        assert obj(x) == pytest.approx(x[0] ** 2 + y @ y, rel=1e-10)
+        assert evaluator.objective(x) == pytest.approx(x[0] ** 2 + y @ y, rel=1e-10)
 
 
 def test_taylor_with_protocol_mda_stays_within_tolerance():
@@ -105,11 +102,11 @@ def test_taylor_with_protocol_mda_stays_within_tolerance():
     system = assemble(problem)
     sigma = problem.uncertainty.sigma
     alpha, beta, P = system.linear_map
-    obj, cons = make_robust_functions(problem, problem.uncertainty, MARGIN, "taylor")
+    evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "taylor")
     std = np.sqrt(np.diag(P @ sigma @ P.T))
     x = np.full(system.d, 0.5)
     expected = (problem.t - alpha - beta @ x) + 2.0 * std
-    assert np.max(np.abs(cons(x) - expected)) <= 1e-4 * (1 + np.abs(expected).max())
+    assert np.max(np.abs(evaluator.constraints(x) - expected)) <= 1e-4 * (1 + np.abs(expected).max())
 
 
 def test_mc_functions_near_exact_at_midpoint():
@@ -119,29 +116,28 @@ def test_mc_functions_near_exact_at_midpoint():
     x = np.full(system.d, 0.5)
     exact = exact_stats(system, problem.t, sigma, x, MARGIN)
     m = 200
-    obj, cons = make_robust_functions(problem, problem.uncertainty, MARGIN, "mc", m=m, seed=7)
+    evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "mc", m=m, seed=7)
     se_mean = 3.0 * exact.constraints.std / np.sqrt(m)
     # The margin adds kappa times the estimated std, whose own error is
     # about std/sqrt(2m); widen the band accordingly.
     band = se_mean + 2.0 * 3.0 * exact.constraints.std / np.sqrt(2 * m)
-    assert np.all(np.abs(cons(x) - exact.constraints.value) <= band)
+    assert np.all(np.abs(evaluator.constraints(x) - exact.constraints.value) <= band)
     se_obj = 3.0 * exact.objective.std[0] / np.sqrt(m)
-    assert abs(obj(x) - exact.objective.mean[0]) <= se_obj
+    assert abs(evaluator.objective(x) - exact.objective.mean[0]) <= se_obj
 
 
 def test_shared_cache_counts_one_evaluation_per_point():
     problem = tuned_problem(4)
-    obj, cons = make_robust_functions(
+    evaluator = RobustEvaluator(
         problem, problem.uncertainty, MARGIN, "mc", m=50, seed=0,
         mda_settings=MDASettings(method="direct"),
     )
-    evaluator = obj.__self__
     x = np.full(evaluator.system.d, 0.5)
-    obj(x)
-    cons(x)
+    evaluator.objective(x)
+    evaluator.constraints(x)
     assert evaluator.n_point_evals == 1
     assert evaluator.n_discipline_evals == 50  # direct solve: 1 sweep/sample
-    cons(x + 0.1)
+    evaluator.constraints(x + 0.1)
     assert evaluator.n_point_evals == 2
 
 
@@ -149,10 +145,8 @@ def test_mc_runs_are_deterministic_given_seed():
     problem = tuned_problem(5)
     results = []
     for _ in range(2):
-        obj, cons = make_robust_functions(
-            problem, problem.uncertainty, MARGIN, "mc", m=100, seed=11
-        )
-        results.append(optimize(obj, cons, OptimizerSettings()))
+        evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "mc", m=100, seed=11)
+        results.append(optimize(evaluator.objective, evaluator.constraints, OptimizerSettings()))
     a, b = results
     assert np.array_equal(a.x_opt, b.x_opt)
     assert a.f_opt == b.f_opt
@@ -225,8 +219,8 @@ def test_exact_estimator_lands_on_qp_reference():
         system = assemble(problem)
         ref = solve_qp(reduce_margin(system, problem.t, problem.uncertainty.sigma, 2.0))
         assert ref.status == "optimal"
-        obj, cons = make_robust_functions(problem, problem.uncertainty, MARGIN, "exact")
-        run = optimize(obj, cons, OptimizerSettings())
+        evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "exact")
+        run = optimize(evaluator.objective, evaluator.constraints, OptimizerSettings())
         dx, df, dg = percent_errors(run, ref)
         assert dx <= 0.1
         assert df <= 0.1
@@ -238,8 +232,8 @@ def test_objective_nondecreasing_in_kappa():
     f_values = []
     for kappa in (0.0, 1.0, 2.0):
         spec = StatisticSpec(constraint_stat="margin", kappa=kappa)
-        obj, cons = make_robust_functions(problem, problem.uncertainty, spec, "exact")
-        run = optimize(obj, cons, settings)
+        evaluator = RobustEvaluator(problem, problem.uncertainty, spec, "exact")
+        run = optimize(evaluator.objective, evaluator.constraints, settings)
         f_values.append(run.f_opt)
     assert f_values[1] >= f_values[0] - 2e-4
     assert f_values[2] >= f_values[1] - 2e-4
@@ -292,12 +286,11 @@ class RunResultStub:
 def test_discipline_eval_accounting_with_iterative_mda():
     problem = tuned_problem(7)
     mda = MDASettings(method="jacobi", tol=1e-4, max_iter=30, warm_start=False)
-    obj, cons = make_robust_functions(
+    evaluator = RobustEvaluator(
         problem, problem.uncertainty, MARGIN, "mc", m=20, seed=0, mda_settings=mda
     )
-    evaluator = obj.__self__
     x = np.full(evaluator.system.d, 0.5)
-    obj(x)
+    evaluator.objective(x)
     # Every realization runs one Jacobi solve with several sweeps each.
     assert evaluator.n_point_evals == 1
     assert evaluator.n_discipline_evals >= 20 * 2

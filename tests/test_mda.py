@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from umdobench import BlockSystem, ProblemConfig, assemble, generate
-from umdobench.mda import MDASettings, coupling_jacobian, solve_mda
+from umdobench.mda import MDASettings, solve_mda
 from oracles import finite_difference_jacobian
 
 
@@ -171,7 +171,7 @@ def test_dimension_mismatch_raises():
 
 def test_coupling_jacobian_trivial_case():
     system = decoupled_system()
-    alpha, beta, P = coupling_jacobian(system)
+    alpha, beta, P = system.linear_map
     assert np.array_equal(alpha, system.a)
     assert np.array_equal(beta, -system.D)
     assert np.array_equal(P, np.eye(system.p))
@@ -180,7 +180,7 @@ def test_coupling_jacobian_trivial_case():
 def test_coupling_jacobian_matches_direct_solve():
     config = ProblemConfig(2, 1, (2, 2), (3, 3), seed=2)
     system = assemble(generate(config))
-    alpha, beta, P = coupling_jacobian(system)
+    alpha, beta, P = system.linear_map
     rng = np.random.default_rng(0)
     for _ in range(10):
         x, u = rng.random(system.d), rng.standard_normal(system.p)
@@ -191,7 +191,7 @@ def test_coupling_jacobian_matches_direct_solve():
 def test_coupling_jacobian_finite_differences():
     config = ProblemConfig(2, 1, (2, 2), (3, 3), seed=6)
     system = assemble(generate(config))
-    _, beta, P = coupling_jacobian(system)
+    _, beta, P = system.linear_map
     x0 = np.full(system.d, 0.4)
 
     def y_of_x(x):

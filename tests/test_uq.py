@@ -13,7 +13,9 @@ from umdobench import (
     generate,
     tune_feasibility,
 )
+from umdobench.driver import RobustEvaluator
 from umdobench.mda import MDASettings, solve_mda
+from umdobench.qp import reduce_margin
 from umdobench.uq import (
     ExactStats,
     GaussianSampler,
@@ -23,19 +25,28 @@ from umdobench.uq import (
     exact_stats,
     mc_estimate,
     mc_estimate_probability,
-    taylor_estimate,
 )
 
+DIRECT = MDASettings(method="direct")
+EXPECTATION = StatisticSpec(constraint_stat="expectation")
 
-def reference_setup(seed=0, std=0.01):
+
+def reference_problem(seed=0, std=0.01):
     config = ProblemConfig(2, 1, (2, 2), (3, 3), seed=seed)
     problem = generate(config)
     tune_feasibility(problem, quantile_seed=seed + 1)
-    system = assemble(problem)
-    sampler = GaussianSampler.from_model(
-        UncertaintyModel.isotropic(config.p_coupling, std)
-    )
-    return system, problem.t, sampler
+    problem.uncertainty = UncertaintyModel.isotropic(config.p_coupling, std)
+    return problem
+
+
+def reference_setup(seed=0, std=0.01):
+    problem = reference_problem(seed, std)
+    return assemble(problem), problem.t, GaussianSampler.from_model(problem.uncertainty)
+
+
+def taylor_evaluator(problem, spec):
+    """The driver's first-order Taylor estimator with an exact coupling solve."""
+    return RobustEvaluator(problem, problem.uncertainty, spec, "taylor", mda_settings=DIRECT)
 
 
 def scalar_sampler(std=1.0):
@@ -189,69 +200,36 @@ def test_mc_probability_cases():
     assert abs(p2[0] - target) <= 3.0 * se
 
 
-# --- Taylor ----------------------------------------------------------------------
-
-
-def test_taylor_exact_on_linear_output():
-    rng = np.random.default_rng(0)
-    w = rng.random(4)
-    sigma = np.diag([0.1, 0.2, 0.3, 0.4])
-    est = taylor_estimate(
-        fn_value=lambda x, u: w @ u + 5.0,
-        fn_grad_u=lambda x, u: w,
-        x=None,
-        sigma=sigma,
-    )
-    assert est.mean[0] == pytest.approx(5.0, abs=1e-15)
-    assert est.std[0] ** 2 == pytest.approx(w @ sigma @ w, rel=1e-14)
-    assert est.n_evals == 2
+# --- Taylor (the driver's "taylor" estimator) -----------------------------------
 
 
 def test_taylor_constraint_std_matches_closed_form():
-    system, t, sampler = reference_setup(seed=4)
-    sigma = sampler.sigma
+    problem = reference_problem(seed=4)
+    system = assemble(problem)
+    sigma = problem.uncertainty.sigma
     _, _, P = system.linear_map
     x = np.full(system.d, 0.6)
 
-    est = taylor_estimate(
-        fn_value=lambda x_, u: t - solve_mda(system, x_, u, MDASettings(method="direct")).y,
-        fn_grad_u=lambda x_, u: -P.T,
-        x=x,
-        sigma=sigma,
-    )
+    margin = taylor_evaluator(problem, StatisticSpec(constraint_stat="margin", kappa=1.0))
+    mean = taylor_evaluator(problem, EXPECTATION)
+    std = margin.constraints(x) - mean.constraints(x)
     expected = np.sqrt(np.diag(P @ sigma @ P.T))
-    assert np.max(np.abs(est.std - expected)) <= 1e-12
+    assert np.max(np.abs(std - expected)) <= 1e-12
 
 
 def test_taylor_objective_misses_quadratic_shift():
-    system, t, sampler = reference_setup(seed=5)
-    sigma = sampler.sigma
-    alpha, beta, P = system.linear_map
+    problem = reference_problem(seed=5)
+    system = assemble(problem)
+    sigma = problem.uncertainty.sigma
+    _, _, P = system.linear_map
     x = np.full(system.d, 0.5)
 
-    def objective(x_, u):
-        y = solve_mda(system, x_, u, MDASettings(method="direct")).y
-        return x_[: system.d_shared] @ x_[: system.d_shared] + y @ y
-
-    def grad_u(x_, u):
-        y = alpha + beta @ x_ + P @ u
-        return 2.0 * P.T @ y
-
-    est = taylor_estimate(objective, grad_u, x, sigma)
-    exact = exact_stats(system, t, sigma, x)
+    taylor = taylor_evaluator(problem, EXPECTATION)
+    exact = exact_stats(system, problem.t, sigma, x)
     shift = float(np.trace(P.T @ P @ sigma))
-    gap = exact.objective.mean[0] - est.mean[0]
+    assert shift == pytest.approx(float(np.trace(system.output_covariance(sigma))), rel=1e-12)
+    gap = exact.objective.mean[0] - taylor.objective(x)
     assert gap == pytest.approx(shift, rel=1e-10)
-
-
-def test_taylor_gradient_shape_validation():
-    with pytest.raises(ValueError):
-        taylor_estimate(
-            fn_value=lambda x, u: np.zeros(2),
-            fn_grad_u=lambda x, u: np.zeros((3, 3)),
-            x=None,
-            sigma=np.eye(2),
-        )
 
 
 # --- closed forms ----------------------------------------------------------------
@@ -341,19 +319,119 @@ def test_mc_estimator_is_unbiased():
 
 
 def test_all_estimators_agree_in_zero_noise_limit():
-    system, t, _ = reference_setup(seed=9)
+    problem = reference_problem(seed=9)
+    system = assemble(problem)
+    t = problem.t
     x = np.full(system.d, 0.55)
     zero_sigma = np.zeros((system.p, system.p))
     sampler = GaussianSampler(tuple(np.zeros((p, p)) for p in system.p_coupling))
-    _, _, P = system.linear_map
 
     def constraint_fn(x_, u):
-        return t - solve_mda(system, x_, u, MDASettings(method="direct")).y
+        return t - solve_mda(system, x_, u, DIRECT).y
 
     mc = mc_estimate(constraint_fn, x, sampler, 10, seed=0)
-    taylor = taylor_estimate(constraint_fn, lambda x_, u: -P.T, x, zero_sigma)
+    # Without noise the margin collapses onto the mean.
+    margin = StatisticSpec(constraint_stat="margin", kappa=2.0)
+    taylor = RobustEvaluator(problem, None, margin, "taylor", mda_settings=DIRECT)
     exact = exact_stats(system, t, zero_sigma, x)
     assert np.allclose(mc.mean, exact.constraints.mean, atol=1e-12)
-    assert np.allclose(taylor.mean, exact.constraints.mean, atol=1e-12)
+    assert np.allclose(taylor.constraints(x), exact.constraints.mean, atol=1e-12)
+    assert taylor.objective(x) == pytest.approx(exact.objective.mean[0], rel=1e-12)
     assert np.allclose(mc.std, 0.0, atol=1e-12)
-    assert np.allclose(taylor.std, 0.0, atol=1e-15)
+
+
+# --- one propagated-noise covariance feeds every closed form --------------------
+
+
+def random_block_covariance(rng, p_coupling, scale=1e-4):
+    """Random symmetric positive definite blocks, one per discipline."""
+    blocks = []
+    for p in p_coupling:
+        G = rng.standard_normal((p, p))
+        blocks.append(scale * (G @ G.T + 0.1 * np.eye(p)))
+    return UncertaintyModel(kind="gaussian", sigma_blocks=tuple(blocks))
+
+
+def test_output_covariance_cache_follows_sigma():
+    # One system queried with Sigma_1, Sigma_2, Sigma_1 must answer exactly
+    # like a fresh system each time, for the covariance and its consumers.
+    problem = reference_problem(seed=10)
+    shared = assemble(problem)
+    rng = np.random.default_rng(5)
+    sigma_1 = problem.uncertainty.sigma
+    sigma_2 = random_block_covariance(rng, problem.config.p_coupling).sigma
+    x = rng.random(shared.d)
+    for sigma in (sigma_1, sigma_2, sigma_1):
+        fresh = assemble(problem)
+        assert np.array_equal(shared.output_covariance(sigma), fresh.output_covariance(sigma))
+        got = reduce_margin(shared, problem.t, sigma, 2.0)
+        want = reduce_margin(assemble(problem), problem.t, sigma, 2.0)
+        assert np.array_equal(got.b, want.b)
+        assert got.d0 == want.d0
+        got = exact_stats(shared, problem.t, sigma, x)
+        want = exact_stats(assemble(problem), problem.t, sigma, x)
+        assert np.array_equal(got.constraints.std, want.constraints.std)
+        assert got.objective.mean[0] == want.objective.mean[0]
+        assert got.objective.std[0] == want.objective.std[0]
+
+    # Mutating the caller's array in place is seen on the next call.
+    sigma = sigma_1.copy()
+    before = np.array(shared.output_covariance(sigma))
+    sigma *= 4.0
+    assert np.allclose(shared.output_covariance(sigma), 4.0 * before, rtol=1e-12, atol=0.0)
+
+
+def test_output_covariance_contract():
+    system, _, sampler = reference_setup(seed=11)
+    cov = system.output_covariance(sampler.sigma)
+    _, _, P = system.linear_map
+    assert np.array_equal(cov, P @ sampler.sigma @ P.T)
+    with pytest.raises(ValueError):
+        cov[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        system.output_covariance(np.eye(system.p + 1))
+    asymmetric = np.eye(system.p)
+    asymmetric[0, 1] = 1e-3
+    with pytest.raises(ValueError):
+        system.output_covariance(asymmetric)
+    with pytest.raises(NumericalError):
+        system.output_covariance(-np.eye(system.p))
+
+
+@pytest.mark.parametrize("coupling_strength", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("p_block", [2, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_closed_forms_agree_across_family(seed, p_block, coupling_strength):
+    config = ProblemConfig(
+        3, 1, (2, 2, 2), (p_block,) * 3, coupling_strength=coupling_strength, seed=seed
+    )
+    problem = generate(config)
+    tune_feasibility(problem, quantile_seed=seed + 1)
+    rng = np.random.default_rng(100 + seed)
+    problem.uncertainty = random_block_covariance(rng, config.p_coupling)
+    system = assemble(problem)
+    sigma = problem.uncertainty.sigma
+    t = problem.t
+    margin = StatisticSpec(constraint_stat="margin", kappa=2.0)
+    qp = reduce_margin(system, t, sigma, margin.kappa)
+    taylor = taylor_evaluator(problem, margin)
+    alpha, beta, P = system.linear_map
+    M = P.T @ P @ sigma
+
+    for _ in range(4):
+        x = rng.random(system.d)
+        stats = exact_stats(system, t, sigma, x, margin)
+        rows = qp.constraints(x)
+        scale = max(1.0, float(np.abs(rows).max()))
+        assert np.max(np.abs(stats.constraints.value - rows)) <= 1e-10 * scale
+        # The constraints are linear in the noise, so Taylor is exact there.
+        assert np.max(np.abs(taylor.constraints(x) - rows)) <= 1e-10 * scale
+
+        f = qp.objective(x)
+        assert abs(stats.objective.mean[0] - f) <= 1e-10 * max(1.0, abs(f))
+        gap = stats.objective.mean[0] - taylor.objective(x)
+        assert gap == pytest.approx(float(np.trace(M)), rel=1e-8, abs=1e-14)
+
+        y = alpha + beta @ x
+        var = 4.0 * y @ P @ sigma @ P.T @ y + 2.0 * np.trace(M @ M)
+        assert stats.objective.std[0] ** 2 == pytest.approx(var, rel=1e-10)
