@@ -2,7 +2,6 @@
 
 from .errors import (
     CapacityError,
-    EvaluationError,
     InfeasibleReferenceError,
     NumericalError,
     ProblemFormatError,

@@ -122,6 +122,8 @@ def cmd_generate(args) -> int:
             if args.sigma is None
             else UncertaintyModel.isotropic(config.p_coupling, args.sigma)
         )
+        if args.samples < 2:
+            raise ValueError("--samples must be >= 2")
     except ValueError as exc:
         return _fail_usage(str(exc))
     problem = generate(config)

@@ -2,8 +2,8 @@
 
 The robust problem is posed directly on the coupled system: at every design
 point the objective and constraint statistics are estimated through coupling
-solves (one per Monte-Carlo realization, or a single one for the Taylor and
-closed-form estimators) and handed to a derivative-free trust-region
+solves (one block solve over all Monte-Carlo realizations, or a single solve
+for the Taylor estimator) and handed to a derivative-free trust-region
 optimizer (COBYLA). Reference solutions from the QP reduction quantify the
 estimation error of each pipeline.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .errors import EvaluationError, UndefinedMetricError
+from .errors import UndefinedMetricError
 from .mda import MDASettings, solve_mda
 from .problem import UncertaintyModel, assemble
 from .uq import GaussianSampler, composed_value, exact_stats, mc_estimate
@@ -82,7 +82,9 @@ class RobustEvaluator:
     same design point; a single-entry cache makes both read one statistical
     evaluation. The evaluator owns the discipline-evaluation counter (one
     unit = one sweep of all disciplines, i.e. one fixed-point iteration or
-    one direct solve) and the dropped-realization counter.
+    one direct solve, counted per realization) and the dropped-realization
+    counter. A Monte-Carlo design point costs one block coupling solve over
+    all ``m`` realizations.
 
     No solver state is carried between design points: every coupling solve
     starts from an iterate computed at the same point, so each evaluation is
@@ -121,15 +123,21 @@ class RobustEvaluator:
 
     # -- per-sample physics -----------------------------------------------
 
-    def _coupled_outputs(self, x, u, y0):
-        """One coupling solve; returns [objective, constraints...] samples."""
-        result = solve_mda(self.system, x, u, self.mda_settings, y0=y0)
+    def _coupled_outputs(self, x, U, y0):
+        """One block coupling solve over the rows of U.
+
+        Returns one row ``[objective, constraints...]`` per realization; the
+        rows whose solve did not converge are NaN, so the estimator drops them.
+        """
+        result = solve_mda(self.system, x, U, self.mda_settings, y0=y0)
         self.n_discipline_evals += result.iterations
-        if not result.converged:
-            raise EvaluationError("coupling solve did not converge")
-        y = result.y
+        Y = result.y
         x0 = x[: self.system.d_shared]
-        return np.concatenate([[x0 @ x0 + y @ y], self.t - y])
+        # Row-wise dot products, each rounded exactly like y @ y.
+        f = x0 @ x0 + np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0]
+        values = np.concatenate([f[:, None], self.t - Y], axis=1)
+        values[~result.row_converged] = np.nan
+        return values
 
     # -- statistic composition per estimator --------------------------------
 
@@ -152,8 +160,9 @@ class RobustEvaluator:
             g = composed_value(self.t - y, std, self.spec)
             return f, g
 
-        # Warm start from the mean-noise solution at this same point, so the
-        # value at x does not depend on the points evaluated before it.
+        # Warm start every realization from the mean-noise solution at this
+        # same point, so the value at x does not depend on the points
+        # evaluated before it.
         y0 = None
         if self.mda_settings.warm_start and self.mda_settings.method != "direct":
             center = solve_mda(self.system, x, settings=self.mda_settings)

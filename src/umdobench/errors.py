@@ -31,14 +31,6 @@ class NumericalError(UmdoBenchError):
     """A computed quantity violates a numerical sanity bound."""
 
 
-class EvaluationError(UmdoBenchError):
-    """A single statistical sample evaluation failed (e.g. MDA did not converge).
-
-    Raised by evaluators handed to :func:`umdobench.uq.mc_estimate`; the
-    estimator excludes the sample and records the failure count.
-    """
-
-
 class UndefinedMetricError(UmdoBenchError):
     """A relative error metric is undefined because the reference norm is zero."""
 

@@ -4,8 +4,9 @@ Two estimators of the objective/constraint statistics are provided here:
 
 * Monte-Carlo sampling (:func:`mc_estimate`, :func:`mc_estimate_probability`):
   unbiased sample mean and (M-1)-denominator standard deviation over i.i.d.
-  noise realizations, each evaluated through a caller-supplied function that
-  typically runs one coupling solve per realization.
+  noise realizations. All M realizations are handed as one (M, p) block to a
+  caller-supplied function, which typically solves them in one block
+  coupling solve and returns one row of outputs per realization.
 * Closed forms (:func:`exact_stats`): ground truth available because the
   coupling solution is affine in both design and noise. Used as the oracle
   when benchmarking the sampled and Taylor estimators.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import EvaluationError, NumericalError
+from .errors import NumericalError
 
 __all__ = [
     "StatisticSpec",
@@ -162,35 +163,40 @@ class GaussianSampler:
 
 
 def _run_samples(fn, x, sampler, m, seed):
-    """Evaluate fn on m draws, dropping realizations that raise EvaluationError."""
-    draws = sampler.draw(m, seed)
-    rows = []
-    n_failed = 0
-    for u in draws:
-        try:
-            rows.append(np.atleast_1d(np.asarray(fn(x, u), dtype=float)))
-        except EvaluationError:
-            n_failed += 1
-    return rows, n_failed
+    """Evaluate fn on one block of m draws; drop the rows holding NaN.
+
+    Returns the kept rows, shape (kept, k), and the number dropped.
+    """
+    values = np.asarray(fn(x, sampler.draw(m, seed)), dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.ndim != 2 or values.shape[0] != m:
+        raise ValueError(
+            f"fn must return one row per realization, shape ({m},) or ({m}, k); "
+            f"got {values.shape}"
+        )
+    ok = ~np.isnan(values).any(axis=1)
+    return values[ok], m - int(np.count_nonzero(ok))
 
 
 def mc_estimate(fn, x, sampler, m: int, seed, spec: StatisticSpec | None = None) -> StatEstimate:
     """Monte-Carlo mean/std of ``fn(x, U)`` over ``m`` noise realizations.
 
+    ``fn`` receives all realizations at once, ``U`` of shape (m, p), and
+    returns one row of outputs per realization, shape (m,) or (m, k).
     Returns the sample mean and the unbiased (m-1)-denominator standard
-    deviation per output component. Realizations whose evaluation raises
-    :class:`EvaluationError` (e.g. a non-converged coupling solve) are
-    excluded and counted in ``n_failed``; ``n_evals`` reports all ``m``
-    attempted evaluations.
+    deviation per output component. A realization whose evaluation failed
+    (e.g. a non-converged coupling solve) is marked by NaN in its row; such
+    rows are excluded and counted in ``n_failed``, and ``n_evals`` reports
+    all ``m`` attempted evaluations.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    rows, n_failed = _run_samples(fn, x, sampler, m, seed)
-    if len(rows) < 2:
+    values, n_failed = _run_samples(fn, x, sampler, m, seed)
+    if len(values) < 2:
         raise NumericalError(
-            f"only {len(rows)} of {m} realizations converged; cannot estimate"
+            f"only {len(values)} of {m} realizations converged; cannot estimate"
         )
-    values = np.vstack(rows)
     mean = values.mean(axis=0)
     std = values.std(axis=0, ddof=1)
     return StatEstimate(
@@ -206,15 +212,16 @@ def mc_estimate(fn, x, sampler, m: int, seed, spec: StatisticSpec | None = None)
 def mc_estimate_probability(fn, x, sampler, m: int, seed) -> np.ndarray:
     """Componentwise empirical frequency of ``fn(x, U) >= 0``.
 
-    Realizations raising :class:`EvaluationError` are excluded from both
-    numerator and denominator.
+    ``fn`` follows the block contract of :func:`mc_estimate`. Rows holding
+    NaN (failed realizations) are excluded from both numerator and
+    denominator.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rows, _ = _run_samples(fn, x, sampler, m, seed)
-    if not rows:
+    values, _ = _run_samples(fn, x, sampler, m, seed)
+    if not len(values):
         raise NumericalError(f"none of {m} realizations converged")
-    return np.mean(np.vstack(rows) >= 0.0, axis=0)
+    return np.mean(values >= 0.0, axis=0)
 
 
 def exact_stats(system, t: float, sigma, x, spec: StatisticSpec | None = None) -> ExactStats:

@@ -197,9 +197,9 @@ def test_criterion_7_mc_convergence_rate():
     x0 = x[: system.d_shared]
     ybar = alpha + beta @ x
 
-    def objective_sample(_, u):
-        y = ybar + P @ u
-        return np.array([x0 @ x0 + y @ y])
+    def objective_sample(_, U):
+        Y = ybar + U @ P.T
+        return x0 @ x0 + np.sum(Y * Y, axis=1)
 
     truth = exact_stats(system, problem.t, problem.uncertainty.sigma, x).objective.mean[0]
     sizes = (100, 1_000, 10_000, 100_000)

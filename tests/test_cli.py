@@ -60,6 +60,18 @@ def test_generate_rejects_alpha_outside_unit_interval(tmp_path, capsys):
     assert "feasibility_level" in capsys.readouterr().err
 
 
+def test_generate_rejects_too_few_tuning_samples(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = [
+        "generate", "--disciplines", "2", "--shared", "1", "--local", "2,2",
+        "--coupling", "3,3", "--samples", "1", "--out", str(out),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: --samples must be >= 2"
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_usage_error(tmp_path, capsys):
     assert main(["generate", "--out", str(tmp_path / "x.json")]) == 2
 

@@ -1,5 +1,7 @@
 """Tests for the coupling-equation solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,14 @@ def test_dimension_mismatch_raises():
         solve_mda(system, np.zeros(2), u=np.zeros(5))
     with pytest.raises(ValueError):
         solve_mda(system, np.zeros(2), y0=np.zeros(7))
+    with pytest.raises(ValueError):
+        solve_mda(system, np.zeros(2), u=np.zeros((3, 5)))
+    with pytest.raises(ValueError):
+        solve_mda(system, np.zeros(2), u=np.zeros((0, 2)))
+    with pytest.raises(ValueError):
+        solve_mda(system, np.zeros(2), u=np.zeros((1, 3, 2)))
+    with pytest.raises(ValueError):
+        solve_mda(system, np.zeros(2), u=np.zeros((3, 2)), y0=np.zeros((3, 2)))
 
 
 def test_coupling_jacobian_trivial_case():
@@ -205,3 +215,68 @@ def test_coupling_jacobian_finite_differences():
 
     fd_P = finite_difference_jacobian(y_of_u, np.zeros(system.p), h=1e-7)
     assert np.max(np.abs(fd_P - P)) / np.max(np.abs(P)) <= 1e-6
+
+
+# --- a block of realizations solves exactly like the per-row loop ----------------
+
+
+@pytest.mark.parametrize("coupling_strength", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("p_block", [2, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_solve_matches_per_row_loop(seed, p_block, coupling_strength):
+    config = ProblemConfig(
+        3, 1, (2, 2, 2), (p_block,) * 3, coupling_strength=coupling_strength, seed=seed
+    )
+    system = assemble(generate(config))
+    rng = np.random.default_rng(seed)
+    x = rng.random(system.d)
+    # Noise scales spread over seven decades, so rows warm-started from the
+    # mean-noise solution need very different numbers of sweeps.
+    m = 20
+    U = 0.01 * rng.standard_normal((m, system.p)) * 10.0 ** rng.uniform(-6, 1, (m, 1))
+    center = solve_mda(system, x).y
+
+    for method in ("jacobi", "gauss_seidel"):
+        for y0 in (None, center):
+            generous = MDASettings(method=method, tol=1e-6, max_iter=300)
+            longest = max(solve_mda(system, x, u, generous, y0).iterations for u in U)
+            # One sweep short of the slowest row leaves at least that row unconverged.
+            tight = dataclasses.replace(generous, max_iter=longest - 1)
+            for settings in (generous, tight):
+                block = solve_mda(system, x, U, settings, y0=y0)
+                rows = [solve_mda(system, x, u, settings, y0) for u in U]
+                assert block.y.shape == (m, system.p)
+                for i, row in enumerate(rows):
+                    assert block.y[i].tobytes() == row.y.tobytes()
+                    assert block.row_iterations[i] == row.iterations
+                    assert block.row_converged[i] == row.converged
+                assert block.iterations == sum(row.iterations for row in rows)
+                assert block.converged == all(row.converged for row in rows)
+            assert not block.converged
+            if y0 is not None:
+                assert block.row_converged.any()
+
+    direct = MDASettings(method="direct")
+    block = solve_mda(system, x, U, direct)
+    assert block.iterations == m and block.converged
+    for i in range(m):
+        row = solve_mda(system, x, U[i], direct)
+        assert np.max(np.abs(block.y[i] - row.y)) <= 1e-14 * np.max(np.abs(row.y))
+        assert block.row_converged[i] == row.converged
+
+
+def test_single_realization_is_a_block_of_one():
+    config = ProblemConfig(2, 1, (2, 2), (3, 3), seed=4)
+    system = assemble(generate(config))
+    x = np.full(system.d, 0.5)
+    u = 0.01 * np.random.default_rng(4).standard_normal(system.p)
+    for method in ("jacobi", "gauss_seidel", "direct"):
+        settings = MDASettings(method=method)
+        one = solve_mda(system, x, u, settings)
+        block = solve_mda(system, x, u[None, :], settings)
+        assert one.y.shape == (system.p,)
+        assert block.y.shape == (1, system.p)
+        assert one.y.tobytes() == block.y[0].tobytes()
+        assert one.iterations == block.iterations == int(block.row_iterations[0])
+        assert one.residual_history == block.residual_history
+        assert isinstance(one.iterations, int) and isinstance(one.converged, bool)

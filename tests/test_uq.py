@@ -5,7 +5,6 @@ import pytest
 import scipy.stats
 
 from umdobench import (
-    EvaluationError,
     NumericalError,
     ProblemConfig,
     UncertaintyModel,
@@ -122,7 +121,9 @@ def test_sampler_rejects_indefinite_block():
 
 
 def test_mc_constant_function_has_zero_std():
-    est = mc_estimate(lambda x, u: np.array([3.0, -1.0]), None, scalar_sampler(), 50, seed=0)
+    est = mc_estimate(
+        lambda x, U: np.tile([3.0, -1.0], (len(U), 1)), None, scalar_sampler(), 50, seed=0
+    )
     assert np.array_equal(est.mean, [3.0, -1.0])
     assert np.array_equal(est.std, [0.0, 0.0])
     assert est.n_evals == 50
@@ -131,7 +132,7 @@ def test_mc_constant_function_has_zero_std():
 
 def test_mc_standard_normal_moments():
     m = 100_000
-    est = mc_estimate(lambda x, u: u[0], None, scalar_sampler(), m, seed=7)
+    est = mc_estimate(lambda x, U: U[:, 0], None, scalar_sampler(), m, seed=7)
     assert abs(est.mean[0]) <= 3.0 / np.sqrt(m)
     assert abs(est.std[0] - 1.0) <= 0.02
 
@@ -140,9 +141,9 @@ def test_mc_within_standard_errors_of_exact_oracle():
     system, t, sampler = reference_setup(seed=2)
     exact = exact_stats(system, t, sampler.sigma, x=np.full(system.d, 0.5))
 
-    def constraint_fn(x, u):
-        y = solve_mda(system, x, u, MDASettings(method="direct")).y
-        return t - y
+    def constraint_fn(x, U):
+        Y = solve_mda(system, x, U, MDASettings(method="direct")).y
+        return t - Y
 
     m = 200
     est = mc_estimate(constraint_fn, np.full(system.d, 0.5), sampler, m, seed=11)
@@ -151,34 +152,122 @@ def test_mc_within_standard_errors_of_exact_oracle():
 
 
 def test_mc_excludes_failing_realizations():
-    def flaky(x, u):
-        if u[0] > 0.5:
-            raise EvaluationError("synthetic non-convergence")
-        return u[0]
+    def flaky(x, U):
+        values = U[:, 0].copy()
+        values[values > 0.5] = np.nan  # synthetic non-convergence
+        return values
 
     est = mc_estimate(flaky, None, scalar_sampler(), 400, seed=5)
     assert est.n_failed > 0
     assert est.n_evals == 400
     assert np.all(est.mean <= 0.5)
 
-    def always_fails(x, u):
-        raise EvaluationError("synthetic")
+    def always_fails(x, U):
+        return np.full(len(U), np.nan)
 
     with pytest.raises(NumericalError):
         mc_estimate(always_fails, None, scalar_sampler(), 10, seed=5)
 
 
+def test_mc_failure_accounting_matches_per_row_solves():
+    # A sweep budget that leaves most warm-started realizations unconverged:
+    # the block evaluation must drop and count exactly the rows that fail on
+    # their own, and estimate from exactly the rows that converge.
+    problem = reference_problem(seed=12, std=0.05)
+    settings = MDASettings(method="jacobi", tol=1e-8, max_iter=23)
+    evaluator = RobustEvaluator(
+        problem, problem.uncertainty, EXPECTATION, "mc", m=200, seed=3, mda_settings=settings
+    )
+    system, t = evaluator.system, problem.t
+    x = np.full(system.d, 0.5)
+    f, g = evaluator.evaluate(x)
+
+    center = solve_mda(system, x, settings=settings)
+    rows = [
+        solve_mda(system, x, u, settings, y0=center.y)
+        for u in evaluator.sampler.draw(evaluator.m, evaluator.seed)
+    ]
+    kept = [row.y for row in rows if row.converged]
+    n_failed = sum(not row.converged for row in rows)
+    assert 2 <= len(kept) and n_failed > 0
+    assert evaluator.n_failed_samples == n_failed
+    assert evaluator.n_discipline_evals == center.iterations + sum(row.iterations for row in rows)
+    x0 = x[: system.d_shared]
+    values = np.vstack([np.concatenate([[x0 @ x0 + y @ y], t - y]) for y in kept])
+    mean = values.mean(axis=0)
+    assert f == mean[0]
+    assert np.array_equal(g, mean[1:])
+
+    starved = RobustEvaluator(
+        problem, problem.uncertainty, EXPECTATION, "mc", m=200, seed=3,
+        mda_settings=MDASettings(method="jacobi", tol=1e-8, max_iter=1),
+    )
+    with pytest.raises(NumericalError):
+        starved.evaluate(x)
+
+
+def test_mc_drops_rows_with_nan_in_any_column():
+    def second_column_fails(x, U):
+        values = np.column_stack([U[:, 0], U[:, 0]])
+        values[U[:, 0] > 0.5, 1] = np.nan
+        return values
+
+    u = scalar_sampler().draw(400, 5)[:, 0]
+    est = mc_estimate(second_column_fails, None, scalar_sampler(), 400, seed=5)
+    assert est.n_failed == np.count_nonzero(u > 0.5) > 0
+    assert est.mean[0] == est.mean[1] <= 0.5
+
+
+def test_mc_needs_two_converged_rows():
+    def one_survivor(x, U):
+        values = np.full(len(U), np.nan)
+        values[0] = U[0, 0]
+        return values
+
+    with pytest.raises(NumericalError):
+        mc_estimate(one_survivor, None, scalar_sampler(), 10, seed=5)
+
+
+def test_mc_probability_drops_failed_rows_from_both_counts():
+    m, seed = 1000, 6
+
+    def fails_above_one(x, U):
+        values = U[:, 0].copy()
+        values[values > 1.0] = np.nan
+        return values
+
+    u = scalar_sampler().draw(m, seed)[:, 0]
+    kept = u[u <= 1.0]
+    assert kept.size < m
+    p_hat = mc_estimate_probability(fails_above_one, None, scalar_sampler(), m, seed)
+    assert p_hat[0] == np.mean(kept >= 0.0)
+    assert p_hat[0] != np.count_nonzero((u >= 0.0) & (u <= 1.0)) / m
+
+    def always_fails(x, U):
+        return np.full(len(U), np.nan)
+
+    with pytest.raises(NumericalError):
+        mc_estimate_probability(always_fails, None, scalar_sampler(), 10, seed)
+
+
+def test_mc_rejects_wrong_output_shape():
+    with pytest.raises(ValueError):
+        mc_estimate(lambda x, U: U[:-1], None, scalar_sampler(), 10, seed=0)
+    with pytest.raises(ValueError):
+        mc_estimate(lambda x, U: U[:, :, None], None, scalar_sampler(), 10, seed=0)
+
+
 def test_mc_requires_two_samples():
     with pytest.raises(ValueError):
-        mc_estimate(lambda x, u: u, None, scalar_sampler(), 1, seed=0)
+        mc_estimate(lambda x, U: U, None, scalar_sampler(), 1, seed=0)
 
 
 def test_mc_margin_composition():
     system, t, sampler = reference_setup(seed=3)
     spec = StatisticSpec(constraint_stat="margin", kappa=2.0)
 
-    def constraint_fn(x, u):
-        return t - solve_mda(system, x, u, MDASettings(method="direct")).y
+    def constraint_fn(x, U):
+        return t - solve_mda(system, x, U, MDASettings(method="direct")).y
 
     est = mc_estimate(constraint_fn, np.full(system.d, 0.4), sampler, 100, seed=2, spec=spec)
     assert np.allclose(est.value, est.mean + 2.0 * est.std, atol=1e-15)
@@ -186,15 +275,15 @@ def test_mc_margin_composition():
 
 def test_mc_probability_cases():
     assert np.array_equal(
-        mc_estimate_probability(lambda x, u: np.array([1.0]), None, scalar_sampler(), 100, 0),
+        mc_estimate_probability(lambda x, U: np.ones((len(U), 1)), None, scalar_sampler(), 100, 0),
         [1.0],
     )
     m = 10_000
-    p_half = mc_estimate_probability(lambda x, u: u[0], None, scalar_sampler(), m, seed=1)
+    p_half = mc_estimate_probability(lambda x, U: U[:, 0], None, scalar_sampler(), m, seed=1)
     assert abs(p_half[0] - 0.5) <= 3.0 * 0.5 / np.sqrt(m)
 
     m = 100_000
-    p2 = mc_estimate_probability(lambda x, u: u[0] + 2.0, None, scalar_sampler(), m, seed=2)
+    p2 = mc_estimate_probability(lambda x, U: U[:, 0] + 2.0, None, scalar_sampler(), m, seed=2)
     target = scipy.stats.norm.cdf(2.0)
     se = np.sqrt(target * (1 - target) / m)
     assert abs(p2[0] - target) <= 3.0 * se
@@ -305,8 +394,8 @@ def test_mc_estimator_is_unbiased():
     x = np.full(system.d, 0.5)
     exact = exact_stats(system, t, sampler.sigma, x)
 
-    def constraint_fn(x_, u):
-        return t - solve_mda(system, x_, u, MDASettings(method="direct")).y
+    def constraint_fn(x_, U):
+        return t - solve_mda(system, x_, U, MDASettings(method="direct")).y
 
     runs, m = 200, 50
     means = [
@@ -326,8 +415,8 @@ def test_all_estimators_agree_in_zero_noise_limit():
     zero_sigma = np.zeros((system.p, system.p))
     sampler = GaussianSampler(tuple(np.zeros((p, p)) for p in system.p_coupling))
 
-    def constraint_fn(x_, u):
-        return t - solve_mda(system, x_, u, DIRECT).y
+    def constraint_fn(x_, U):
+        return t - solve_mda(system, x_, U, DIRECT).y
 
     mc = mc_estimate(constraint_fn, x, sampler, 10, seed=0)
     # Without noise the margin collapses onto the mean.
