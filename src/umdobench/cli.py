@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from .problem import (
     assemble,
     deserialize,
     generate,
-    problem_digest,
     serialize,
     tune_feasibility,
 )
@@ -130,8 +130,9 @@ def cmd_generate(args) -> int:
     problem.uncertainty = uncertainty
     quantile_seed = args.quantile_seed if args.quantile_seed is not None else args.seed + 1
     tune_feasibility(problem, n_samples=args.samples, quantile_seed=quantile_seed)
-    Path(args.out).write_bytes(serialize(problem))
-    print(problem_digest(problem))
+    blob = serialize(problem)
+    Path(args.out).write_bytes(blob)
+    print(hashlib.sha256(blob).hexdigest())
     return EXIT_OK
 
 
@@ -151,8 +152,9 @@ def cmd_tune(args) -> int:
     )
     t = tune_feasibility(problem, n_samples=args.samples, quantile_seed=quantile_seed)
     out = args.out if args.out else args.problem
-    Path(out).write_bytes(serialize(problem))
-    print(json.dumps({"t": t, "digest": problem_digest(problem)}))
+    blob = serialize(problem)
+    Path(out).write_bytes(blob)
+    print(json.dumps({"t": t, "digest": hashlib.sha256(blob).hexdigest()}))
     return EXIT_OK
 
 

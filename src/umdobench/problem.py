@@ -451,7 +451,11 @@ def tune_feasibility(
 # --- JSON problem files ------------------------------------------------------
 #
 # Floats are rendered with 17 significant digits, which round-trips IEEE-754
-# doubles exactly, so serialize/deserialize is a bitwise identity.
+# doubles exactly, so serialize/deserialize is a bitwise identity for every
+# value but -0.0: it is written as ``-0``, which JSON reads back as 0.
+# Arrays are checked for non-finite values once and formatted in one pass,
+# with a single ``%``-format over all their elements; the bytes are the same
+# as formatting each element with ``format(x, ".17g")``.
 
 
 def _fmt_float(x) -> str:
@@ -461,7 +465,19 @@ def _fmt_float(x) -> str:
     return format(x, ".17g")
 
 
+def _fmt_array(arr) -> str:
+    arr = np.asarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("cannot serialize non-finite value")
+    template = "%.17g"
+    for n in reversed(arr.shape):
+        template = "[" + ", ".join([template] * n) + "]"
+    return template % tuple(arr.ravel().tolist())
+
+
 def _emit(obj) -> str:
+    if isinstance(obj, np.ndarray):
+        return _fmt_array(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(k)}: {_emit(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -478,10 +494,6 @@ def _emit(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _matrix(arr: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(arr, dtype=float)]
-
-
 def serialize(problem: ScalableProblem) -> bytes:
     """Render a problem as canonical JSON bytes (17-significant-digit floats)."""
     cfg = problem.config
@@ -496,18 +508,17 @@ def serialize(problem: ScalableProblem) -> bytes:
             "feasibility_level": cfg.feasibility_level,
             "seed": cfg.seed,
         },
-        "a": [float(v) for v in problem.a],
-        "D_shared": [_matrix(m) for m in problem.D_shared],
-        "D_local": [_matrix(m) for m in problem.D_local],
+        "a": problem.a,
+        "D_shared": problem.D_shared,
+        "D_local": problem.D_local,
         "C_blocks": [
-            [i, j, _matrix(problem.C_blocks[(i, j)])]
-            for (i, j) in sorted(problem.C_blocks)
+            [i, j, problem.C_blocks[(i, j)]] for (i, j) in sorted(problem.C_blocks)
         ],
         "t": problem.t,
         "sigma_blocks": (
             None
             if problem.uncertainty is None or problem.uncertainty.kind == "none"
-            else [_matrix(b) for b in problem.uncertainty.sigma_blocks]
+            else problem.uncertainty.sigma_blocks
         ),
     }
     return _emit(doc).encode("ascii")

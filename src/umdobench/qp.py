@@ -347,12 +347,12 @@ def solve_qp(
 def export_qp(qp: QPData) -> bytes:
     """Render the QP as canonical JSON bytes for external cross-checks."""
     doc = {
-        "Q": [[float(v) for v in row] for row in qp.Q],
-        "c": [float(v) for v in qp.c],
+        "Q": qp.Q,
+        "c": qp.c,
         "d0": qp.d0,
-        "A": [[float(v) for v in row] for row in qp.A],
-        "b": [float(v) for v in qp.b],
-        "lower": [float(v) for v in qp.lower],
-        "upper": [float(v) for v in qp.upper],
+        "A": qp.A,
+        "b": qp.b,
+        "lower": qp.lower,
+        "upper": qp.upper,
     }
     return _emit(doc).encode("ascii")

@@ -1,5 +1,8 @@
 """Tests for problem generation, assembly, tuning and serialization."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from umdobench import (
     serialize,
     tune_feasibility,
 )
+from umdobench.problem import _emit
 from conftest import make_toy_problem
 from oracles import draw_reference_instance
 
@@ -250,6 +254,79 @@ def test_serialization_uses_17_significant_digits():
     assert b"0.33333333333333331" in serialize(problem)
 
 
+# sha256 of the file written for `small_config`, tuned with quantile seed 0 and
+# isotropic noise of standard deviation 0.01. Any byte change to the file
+# format changes it.
+GOLDEN_SMALL_DIGEST = "a864ddd2b0eb8729e259ec95df406a51c5f022c2b8211fae572f8c6dcf85011b"
+
+
+def test_file_format_is_pinned(small_config):
+    problem = generate(small_config)
+    tune_feasibility(problem)
+    problem.uncertainty = UncertaintyModel.isotropic(small_config.p_coupling, 0.01)
+    assert hashlib.sha256(serialize(problem)).hexdigest() == GOLDEN_SMALL_DIGEST
+
+
+def _per_element(arr):
+    if arr.ndim == 1:
+        return "[" + ", ".join(format(float(x), ".17g") for x in arr) + "]"
+    return "[" + ", ".join(_per_element(row) for row in arr) + "]"
+
+
+def test_array_format_matches_per_element_format():
+    special = np.array([
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1.0 / 3.0,
+        1e16, 1e17, -1e17, 1.7976931348623157e308, -1.7976931348623157e308,
+    ])
+    bits = np.random.default_rng(7).integers(0, 2**64, size=600, dtype=np.uint64)
+    random = bits.view(np.float64)
+    values = np.concatenate([special, random[np.isfinite(random)][:480]])
+    assert values.size == 492
+    shapes = [(values.size,), (values.size, 1), (12, 41), (41, 12), (0, 3), (0,)]
+    for shape in shapes:
+        arr = values[: int(np.prod(shape))].reshape(shape)
+        text = _emit(arr)
+        assert text == _per_element(arr), shape
+        if arr.size:
+            assert np.array_equal(np.array(json.loads(text)), arr)
+    assert _emit(special).startswith("[-0, 0, 4.9406564584124654e-324, ")
+
+
+def _poison_a(p, v):
+    p.a[1] = v
+
+
+def _poison_c_block(p, v):
+    p.C_blocks[(1, 0)][2, 0] = v
+
+
+def _poison_d_local(p, v):
+    p.D_local[1][0, 1] = v
+
+
+def _poison_sigma(p, v):
+    p.uncertainty.sigma_blocks[1][2, 2] = v
+
+
+def _poison_t(p, v):
+    p.t = v
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "poison",
+    [_poison_a, _poison_c_block, _poison_d_local, _poison_sigma, _poison_t],
+    ids=["a", "C_blocks", "D_local", "sigma_blocks", "t"],
+)
+def test_serialize_rejects_non_finite_values(small_config, poison, value):
+    problem = generate(small_config)
+    problem.uncertainty = UncertaintyModel.isotropic(small_config.p_coupling, 0.01)
+    serialize(problem)
+    poison(problem, value)
+    with pytest.raises(ValueError, match="cannot serialize non-finite value"):
+        serialize(problem)
+
+
 def test_deserialize_rejects_bad_inputs(small_config):
     payload = serialize(generate(small_config))
 
@@ -259,8 +336,6 @@ def test_deserialize_rejects_bad_inputs(small_config):
     bumped = payload.replace(b'{"version": 1', b'{"version": 99', 1)
     with pytest.raises(ProblemVersionError):
         deserialize(bumped)
-
-    import json
 
     doc = json.loads(payload)
     del doc["a"]

@@ -314,3 +314,12 @@ def test_export_roundtrip():
     assert np.allclose(doc["Q"], qp.Q, rtol=0, atol=0)
     assert np.allclose(doc["b"], qp.b, rtol=0, atol=0)
     assert doc["d0"] == qp.d0
+
+
+def test_export_rejects_non_finite_values():
+    system, t = tuned_system(10)
+    qp = reduce_deterministic(system, t)
+    export_qp(qp)
+    qp.b[3] = np.nan
+    with pytest.raises(ValueError, match="cannot serialize non-finite value"):
+        export_qp(qp)
