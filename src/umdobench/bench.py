@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,7 +144,10 @@ class EstimatorSummary:
 
 @dataclass
 class BenchmarkReport:
-    """Full record of a benchmark: settings echo, reference, runs, aggregates."""
+    """Full record of a benchmark: settings echo, reference, runs, aggregates.
+
+    ``environment`` names the library stack and machine that produced it.
+    """
 
     tool_version: str
     problem_digest: str
@@ -158,6 +161,7 @@ class BenchmarkReport:
     repetitions: int
     seeds: dict
     reference: dict
+    environment: dict
     runs: list[BenchmarkRun] = field(default_factory=list)
     estimators: list[EstimatorSummary] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
@@ -206,6 +210,7 @@ class BenchmarkReport:
             ],
             "estimators": rows,
             "failures": [dict(f) for f in self.failures],
+            "environment": dict(self.environment),
         }
 
 
@@ -366,6 +371,9 @@ def run_benchmark(
     if n_workers == 1:
         outcomes = [_execute_run(task) for task in tasks]
     else:
+        # Local so that serial runs never load the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(_execute_run, tasks))
 
@@ -424,6 +432,12 @@ def run_benchmark(
             "g_star": [float(v) for v in reference.g_star],
             "kkt_residual": float(reference.kkt_residual),
             "iterations": int(reference.iterations),
+        },
+        environment={
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "machine": platform.machine(),
         },
         runs=runs,
         estimators=summaries,

@@ -6,6 +6,9 @@ solves (one block solve over all Monte-Carlo realizations, or a single solve
 for the Taylor estimator) and handed to a derivative-free trust-region
 optimizer (COBYLA). Reference solutions from the QP reduction quantify the
 estimation error of each pipeline.
+
+``scipy.optimize`` is loaded on the first :func:`optimize` call, not when
+the package is imported: the reference chain never needs it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import UndefinedMetricError
 from .mda import MDASettings, solve_mda
@@ -270,6 +272,9 @@ def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | No
             0,
             {"type": "ineq", "fun": lambda x: -np.atleast_1d(np.asarray(cons(x), dtype=float))},
         )
+
+    # Local so that importing the package does not load scipy.optimize.
+    import scipy.optimize
 
     start = time.perf_counter()
     res = scipy.optimize.minimize(

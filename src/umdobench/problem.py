@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import logging
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -451,18 +452,23 @@ def tune_feasibility(
 # --- JSON problem files ------------------------------------------------------
 #
 # Floats are rendered with 17 significant digits, which round-trips IEEE-754
-# doubles exactly, so serialize/deserialize is a bitwise identity for every
-# value but -0.0: it is written as ``-0``, which JSON reads back as 0.
+# doubles exactly, so serialize/deserialize is a bitwise identity. The one
+# exception to ``format(x, ".17g")`` is -0.0: it would print as ``-0``, which
+# JSON reads back as the int 0, so it is written as ``-0.0`` instead.
 # Arrays are checked for non-finite values once and formatted in one pass,
 # with a single ``%``-format over all their elements; the bytes are the same
-# as formatting each element with ``format(x, ".17g")``.
+# as formatting each element with :func:`_fmt_float`.
+
+# A ``-0`` token in ``%.17g`` output: no digit, point or exponent follows it.
+_NEG_ZERO = re.compile(r"-0(?![.\de])")
 
 
 def _fmt_float(x) -> str:
     x = float(x)
     if not np.isfinite(x):
         raise ValueError("cannot serialize non-finite value")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def _fmt_array(arr) -> str:
@@ -472,7 +478,10 @@ def _fmt_array(arr) -> str:
     template = "%.17g"
     for n in reversed(arr.shape):
         template = "[" + ", ".join([template] * n) + "]"
-    return template % tuple(arr.ravel().tolist())
+    text = template % tuple(arr.ravel().tolist())
+    if np.signbit(arr[arr == 0.0]).any():
+        text = _NEG_ZERO.sub("-0.0", text)
+    return text
 
 
 def _emit(obj) -> str:

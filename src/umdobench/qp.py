@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from .problem import _emit
 
@@ -183,7 +183,7 @@ def reduce_probability(
         if sigma is None:
             raise ValueError("gaussian reduction needs a covariance")
         var = np.diag(system.output_covariance(sigma))
-        q = np.sqrt(var) * scipy.stats.norm.ppf(epsilon)
+        q = np.sqrt(var) * scipy.special.ndtri(epsilon)
         noise_energy = float(var.sum())
     elif dist == "empirical":
         if sample is None:

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import umdobench.bench as bench
 from umdobench.bench import (
@@ -219,3 +221,19 @@ def test_report_echoes_settings(report):
     assert len(payload["problem_digest"]) == 64
     blocks = payload["sigma_blocks"]
     assert len(blocks) == 2 and np.allclose(blocks[0], 0.01 ** 2 * np.eye(3))
+    assert payload["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+    }
+    assert list(payload) == [
+        "tool_version", "problem_digest", "config", "t", "statistic", "optimizer",
+        "mda", "sigma_blocks", "base_seed", "repetitions", "seeds", "reference",
+        "runs", "estimators", "failures", "environment",
+    ]
+    # The environment lives in the JSON only: the CSV keeps its columns.
+    lines = report_to_csv(report).splitlines()
+    assert lines[0] == "estimator,rep,dx_pct,df_pct,dg_pct,n_evals,wall_s"
+    assert len(lines) == len(report.runs) + 1
+    assert all(len(line.split(",")) == 7 for line in lines)

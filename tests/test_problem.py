@@ -267,9 +267,14 @@ def test_file_format_is_pinned(small_config):
     assert hashlib.sha256(serialize(problem)).hexdigest() == GOLDEN_SMALL_DIGEST
 
 
+def _format_one(x):
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
+
+
 def _per_element(arr):
     if arr.ndim == 1:
-        return "[" + ", ".join(format(float(x), ".17g") for x in arr) + "]"
+        return "[" + ", ".join(_format_one(x) for x in arr) + "]"
     return "[" + ", ".join(_per_element(row) for row in arr) + "]"
 
 
@@ -288,8 +293,26 @@ def test_array_format_matches_per_element_format():
         text = _emit(arr)
         assert text == _per_element(arr), shape
         if arr.size:
-            assert np.array_equal(np.array(json.loads(text)), arr)
-    assert _emit(special).startswith("[-0, 0, 4.9406564584124654e-324, ")
+            restored = np.array(json.loads(text))
+            assert np.array_equal(restored, arr)
+            assert np.array_equal(np.signbit(restored), np.signbit(arr))
+    assert _emit(special).startswith("[-0.0, 0, 4.9406564584124654e-324, ")
+
+
+def test_negative_zero_roundtrips_bitwise(small_config):
+    problem = generate(small_config)
+    problem.uncertainty = UncertaintyModel.isotropic(small_config.p_coupling, 0.01)
+    problem.a[1] = -0.0
+    problem.C_blocks[(1, 0)][2, 0] = -0.0
+    problem.uncertainty.sigma_blocks[1][0, 1] = -0.0
+    problem.t = -0.0
+    restored = deserialize(serialize(problem))
+    assert restored == problem
+    assert np.signbit(restored.a[1])
+    assert np.signbit(restored.C_blocks[(1, 0)][2, 0])
+    assert np.signbit(restored.uncertainty.sigma_blocks[1][0, 1])
+    assert np.signbit(restored.t)
+    assert np.array_equal(np.signbit(restored.a), np.signbit(problem.a))
 
 
 def _poison_a(p, v):

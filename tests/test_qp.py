@@ -152,6 +152,19 @@ def test_probability_two_sigma_quantile():
     assert np.allclose(qp.b, qp0.b - 2.0 * sigma_val, atol=1e-12)
 
 
+def test_gaussian_quantile_is_bitwise_norm_ppf():
+    system, t = tuned_system(5)
+    sigma = 0.01 ** 2 * np.eye(system.p)
+    var = np.diag(system.output_covariance(sigma))
+    base = reduce_deterministic(system, t)
+    tail = np.logspace(-15, np.log10(0.5), 200)
+    grid = np.concatenate([np.linspace(0.001, 0.999, 999), tail, 1.0 - tail])
+    for eps in grid:
+        qp = reduce_probability(system, t, epsilon=float(eps), sigma=sigma)
+        q = np.sqrt(var) * scipy.stats.norm.ppf(eps)
+        assert np.array_equal(qp.b, base.b + q), eps
+
+
 def test_probability_matches_margin_for_matched_levels():
     system, t = tuned_system(5)
     sigma = 0.01 ** 2 * np.eye(system.p)
