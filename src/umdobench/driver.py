@@ -94,6 +94,11 @@ class RobustEvaluator:
     optimizer took to reach ``x``. Monte-Carlo runs reuse the same noise
     realizations at every design point (common random numbers); repetitions
     differ only through their seeds.
+
+    The Taylor estimator's propagated standard deviation does not depend on
+    the design point, so it is computed once, when the evaluator is built:
+    its errors (a singular coupling matrix, a negative propagated variance)
+    surface from the constructor rather than from the first evaluation.
     """
 
     def __init__(self, problem, sigma, spec, estimator, m=200, seed=0, mda_settings=None):
@@ -116,6 +121,10 @@ class RobustEvaluator:
         blocks = _coerce_sigma_blocks(problem.config.p_coupling, sigma)
         self.sampler = GaussianSampler(blocks)
         self.sigma = self.sampler.sigma
+        if estimator == "taylor":
+            # Constraints are linear in the noise with gradient -P', so the
+            # first-order std is exact.
+            self._taylor_std = np.sqrt(np.diag(self.system.output_covariance(self.sigma)))
 
         self.n_discipline_evals = 0
         self.n_point_evals = 0
@@ -154,12 +163,10 @@ class RobustEvaluator:
             self.n_discipline_evals += result.iterations + 1
             y = result.y
             x0 = x[: self.system.d_shared]
-            # Constraints are linear in the noise with gradient -P', so the
-            # first-order std is exact; the objective mean is the plain value
-            # at the mean noise (the quadratic noise term is second order).
-            std = np.sqrt(np.diag(self.system.output_covariance(self.sigma)))
+            # The objective mean is the plain value at the mean noise (the
+            # quadratic noise term is second order).
             f = float(x0 @ x0 + y @ y)
-            g = composed_value(self.t - y, std, self.spec)
+            g = composed_value(self.t - y, self._taylor_std, self.spec)
             return f, g
 
         # Warm start every realization from the mean-noise solution at this

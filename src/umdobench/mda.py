@@ -63,9 +63,8 @@ class MDAResult:
     True when every row converged and ``row_converged`` says which did.
     ``residual`` is the largest final Euclidean norm of ``y - h(x, y)`` over
     the rows and ``residual_history`` records, after every sweep, the largest
-    residual among the rows swept in it. ``in_domain`` flags whether the
-    design point lay inside the unit hypercube; out-of-box points are solved
-    anyway. Non-convergence is reported, not raised.
+    residual among the rows swept in it. Non-convergence is reported, not
+    raised.
     """
 
     y: np.ndarray
@@ -75,7 +74,6 @@ class MDAResult:
     row_converged: np.ndarray
     row_iterations: np.ndarray
     residual_history: list[float] = field(default_factory=list)
-    in_domain: bool = True
 
 
 def _matvec(A, Y):
@@ -110,8 +108,7 @@ def solve_mda(
     system : BlockSystem
         Assembled problem (owns the cached LU factorization).
     x : array_like, shape (d,)
-        Design point. Points outside [0, 1]^d are flagged via
-        ``MDAResult.in_domain`` but still solved.
+        Design point. Points outside [0, 1]^d are solved like any other.
     u : array_like, shape (p,) or (m, p), optional
         Additive noise on the coupling equations: one realization or a block
         of m realizations, one per row (default 0).
@@ -131,7 +128,6 @@ def solve_mda(
     if u.ndim not in (1, 2) or u.shape[-1] != p or u.size == 0:
         raise ValueError(f"u must have shape ({p},) or (m, {p}) with m >= 1, got {u.shape}")
     m = 1 if u.ndim == 1 else u.shape[0]
-    in_domain = bool(np.all((x >= 0.0) & (x <= 1.0)))
 
     rhs = system.a - system.D @ x + u.reshape(m, p)
 
@@ -158,7 +154,6 @@ def solve_mda(
         row_converged=row_converged,
         row_iterations=sweeps,
         residual_history=history,
-        in_domain=in_domain,
     )
 
 

@@ -55,8 +55,14 @@ logger = logging.getLogger(__name__)
 FORMAT_VERSION = 1
 
 # Guard against accidental huge allocations during generation: the assembled
-# system stores a p x p coupling matrix and a p x d design map.
+# system stores a p x p coupling matrix and a p x d design map. Threshold
+# tuning needs no n_samples x p buffer (it streams its sample in row blocks),
+# so this cap bounds the largest arrays a problem ever needs.
 MAX_MATRIX_ELEMENTS = 1 << 26
+
+# Bytes of one row block of design-point outputs in tune_feasibility: small
+# enough that a block stays in cache while it is offset and reduced.
+_TUNE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -436,14 +442,28 @@ def tune_feasibility(
     The sampling stream is seeded by ``quantile_seed``, independent of the
     matrix-generation seed. The threshold is stored on the problem and
     returned.
+
+    The sample is drawn and mapped in near-equal row blocks of about 1 MiB
+    of outputs each, so the working set is one block plus ``n_samples``
+    floats of minima, whatever ``n_samples`` and p are. The threshold is
+    bit-identical to mapping the whole sample at once: the blocked draws
+    concatenate to the one-shot draw, and the blocks are split evenly, so
+    each has at least 8 rows for any p under the default capacity cap. BLAS
+    rounds a row of such a block as it does in the one-shot product; a 1- or
+    2-row block would round differently.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     system = assemble(problem)
     alpha, beta, _ = system.linear_map
     rng = np.random.default_rng(quantile_seed)
-    X = rng.random((n_samples, system.d))
-    worst = (alpha[None, :] + X @ beta.T).min(axis=1)
+    n_blocks = -(-n_samples * system.p * 8 // _TUNE_BLOCK_BYTES)
+    bounds = np.linspace(0, n_samples, n_blocks + 1).astype(int)
+    worst = np.empty(n_samples)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        W = rng.random((hi - lo, system.d)) @ beta.T
+        W += alpha
+        W.min(axis=1, out=worst[lo:hi])
     t = float(np.quantile(worst, 1.0 - problem.config.feasibility_level))
     problem.t = t
     return t

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from umdobench import (
+    BlockSystem,
     ProblemConfig,
     UncertaintyModel,
     UndefinedMetricError,
@@ -107,6 +108,24 @@ def test_taylor_with_protocol_mda_stays_within_tolerance():
     x = np.full(system.d, 0.5)
     expected = (problem.t - alpha - beta @ x) + 2.0 * std
     assert np.max(np.abs(evaluator.constraints(x) - expected)) <= 1e-4 * (1 + np.abs(expected).max())
+
+
+def test_taylor_std_is_computed_once_at_construction(monkeypatch):
+    calls = []
+    original = BlockSystem.output_covariance
+
+    def counted(self, sigma):
+        calls.append(1)
+        return original(self, sigma)
+
+    monkeypatch.setattr(BlockSystem, "output_covariance", counted)
+    problem = tuned_problem(2)
+    evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "taylor")
+    assert len(calls) == 1
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        evaluator.constraints(rng.random(problem.config.d))
+    assert len(calls) == 1
 
 
 def test_mc_functions_near_exact_at_midpoint():

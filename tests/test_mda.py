@@ -152,13 +152,19 @@ def test_non_convergence_is_reported_not_raised():
     assert result.iterations == 3
 
 
-def test_out_of_box_design_is_flagged_but_solved():
+def test_out_of_box_design_is_solved(small_config):
     system = hand_system()
-    inside = solve_mda(system, np.full(2, 0.5), settings=MDASettings(method="direct"))
     outside = solve_mda(system, np.full(2, 2.0), settings=MDASettings(method="direct"))
-    assert inside.in_domain
-    assert not outside.in_domain
     assert np.allclose(outside.y, [2.0, 2.0], atol=1e-14)
+    # With a design map that sees x, the fixed-point solve of an out-of-box
+    # point converges to the direct solution.
+    system = assemble(generate(small_config))
+    x = np.full(system.d, 2.0)
+    settings = MDASettings(method="jacobi", tol=1e-12, max_iter=200)
+    fixed_point = solve_mda(system, x, settings=settings)
+    direct = solve_mda(system, x, settings=MDASettings(method="direct"))
+    assert fixed_point.converged
+    assert np.allclose(fixed_point.y, direct.y, rtol=0, atol=1e-10)
 
 
 def test_dimension_mismatch_raises():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,41 @@ def test_tuning_quantile_uses_linear_interpolation():
     k, frac = int(np.floor(pos)), pos - np.floor(pos)
     expected = mins[k] * (1 - frac) + mins[k + 1] * frac
     assert t == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ProblemConfig(2, 1, (2, 2), (3, 3), seed=3),  # p = 6, d = 5
+        ProblemConfig(3, 2, (4, 4, 4), (10, 10, 11), feasibility_level=0.3, seed=8),  # p = 31, d = 14
+        ProblemConfig(4, 1, (2,) * 4, (100,) * 4, seed=5),  # p = 400, d = 9
+        ProblemConfig(20, 1, (5,) * 20, (30,) * 20, feasibility_level=0.7, seed=3),  # p = 600, d = 101
+    ],
+    ids=["p6", "p31", "p400", "p600"],
+)
+def test_streamed_tuning_is_bitwise_one_shot(config):
+    # The blocked sample must give exactly the threshold of mapping the whole
+    # sample in one product, for one-block and many-block splits alike.
+    problem = generate(config)
+    alpha, beta, _ = assemble(problem).linear_map
+    for n in (2, 501, 10_000, 10_001):
+        t = tune_feasibility(problem, n_samples=n, quantile_seed=n)
+        X = np.random.default_rng(n).random((n, config.d))
+        expected = np.quantile((alpha + X @ beta.T).min(axis=1), 1 - config.feasibility_level)
+        assert t.hex() == float(expected).hex(), (config.p, n)
+
+
+def test_tuning_memory_does_not_scale_with_sample_size():
+    # One n_samples x p product at p = 600 would alone take 46 MiB.
+    config = ProblemConfig(20, 1, (5,) * 20, (30,) * 20, seed=3)
+    problem = generate(config)
+    tracemalloc.start()
+    try:
+        tune_feasibility(problem, n_samples=10_000, quantile_seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_tuning_seed_independent_of_generation_seed(small_config):
