@@ -71,7 +71,7 @@ print("taylor margin gap:", f"{np.max(np.abs(taylor.constraints(x) - exact.const
 # Averaged over repeated runs, the Monte-Carlo error of the objective mean
 # falls like one over the square root of the sample size.
 
-sampler = GaussianSampler.from_model(problem.uncertainty)
+sampler = GaussianSampler(problem.uncertainty.sigma_blocks)
 alpha, beta, P = system.linear_map
 ybar = alpha + beta @ x
 x0 = x[: system.d_shared]

@@ -62,5 +62,4 @@ from .uq import (
     composed_value,
     exact_stats,
     mc_estimate,
-    mc_estimate_probability,
 )

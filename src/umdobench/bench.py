@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .driver import (
     OptimizerSettings,
     RobustEvaluator,
-    _coerce_sigma_blocks,
+    _noise_model,
     optimize,
     percent_errors,
 )
@@ -219,7 +219,7 @@ class _RunTask:
     """Everything one worker needs to execute and score a single run."""
 
     problem: object
-    sigma: object
+    sigma: UncertaintyModel
     spec: StatisticSpec
     optimizer: OptimizerSettings
     mda_settings: MDASettings | None
@@ -311,8 +311,9 @@ def run_benchmark(
     ``estimators`` is a sequence of labels (``"mc:200"``, ``"taylor"``,
     ``"exact"``). Sampling estimators run ``repetitions`` times with sampler
     seeds ``base_seed + rep``; deterministic estimators run once. ``sigma``
-    accepts anything the robust evaluator accepts (defaults to the noise
-    model stored on the problem, if any). Runs execute in a process pool
+    is an :class:`~umdobench.problem.UncertaintyModel` whose ``p_coupling``
+    matches the problem's, or None for the model stored on the problem (zero
+    noise if the problem has none). Runs execute in a process pool
     whose size is ``workers``, else the ``UMDO_BENCH_THREADS`` environment
     variable, else one; results do not depend on the pool size.
     """
@@ -324,20 +325,17 @@ def run_benchmark(
             "probability-constrained runs are reference-only and cannot be benchmarked"
         )
     optimizer = optimizer if optimizer is not None else OptimizerSettings()
-    if sigma is None:
-        sigma = problem.uncertainty
+    model = _noise_model(problem, sigma if sigma is not None else problem.uncertainty)
 
     parsed = [(label, *parse_estimator(label)) for label in estimators]
     if not parsed:
         raise ValueError("estimators must not be empty")
 
     system = assemble(problem)
-    blocks = _coerce_sigma_blocks(problem.config.p_coupling, sigma)
-    sigma_matrix = scipy.linalg.block_diag(*blocks)
     # kappa = 0 keeps the constraint rows of the expectation statistic while
     # still carrying the noise-energy constant in the objective.
     kappa = spec.kappa if spec.constraint_stat == "margin" else 0.0
-    reference = solve_qp(reduce_margin(system, problem.t, sigma_matrix, kappa))
+    reference = solve_qp(reduce_margin(system, problem.t, model.sigma, kappa))
     if reference.status == "infeasible":
         raise InfeasibleReferenceError(
             "the reference QP is infeasible; relax the statistic or retune the threshold"
@@ -354,7 +352,7 @@ def run_benchmark(
             tasks.append(
                 _RunTask(
                     problem=problem,
-                    sigma=sigma,
+                    sigma=model,
                     spec=spec,
                     optimizer=optimizer,
                     mda_settings=mda_settings,
@@ -403,7 +401,6 @@ def run_benchmark(
         },
         t=float(problem.t),
         statistic={
-            "objective_stat": spec.objective_stat,
             "constraint_stat": spec.constraint_stat,
             "kappa": spec.kappa,
             "epsilon": spec.epsilon,
@@ -421,7 +418,7 @@ def run_benchmark(
             "max_iter": mda_echo.max_iter,
             "warm_start": mda_echo.warm_start,
         },
-        sigma_blocks=[b.tolist() for b in blocks],
+        sigma_blocks=[b.tolist() for b in model.sigma_blocks],
         base_seed=base_seed,
         repetitions=repetitions,
         seeds=seeds,

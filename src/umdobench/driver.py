@@ -95,6 +95,10 @@ class RobustEvaluator:
     realizations at every design point (common random numbers); repetitions
     differ only through their seeds.
 
+    ``sigma`` is the coupling noise, an
+    :class:`~umdobench.problem.UncertaintyModel` whose ``p_coupling`` matches
+    the problem's, or None for zero noise.
+
     The Taylor estimator's propagated standard deviation does not depend on
     the design point, so it is computed once, when the evaluator is built:
     its errors (a singular coupling matrix, a negative propagated variance)
@@ -111,6 +115,7 @@ class RobustEvaluator:
             )
         if estimator == "mc" and m < 2:
             raise ValueError("mc estimator needs m >= 2")
+        model = _noise_model(problem, sigma)
         self.system = assemble(problem)
         self.t = problem.t
         self.spec = spec
@@ -118,9 +123,8 @@ class RobustEvaluator:
         self.m = m
         self.seed = seed
         self.mda_settings = mda_settings or MDASettings()
-        blocks = _coerce_sigma_blocks(problem.config.p_coupling, sigma)
-        self.sampler = GaussianSampler(blocks)
-        self.sigma = self.sampler.sigma
+        self.sampler = GaussianSampler(model.sigma_blocks)
+        self.sigma = model.sigma
         if estimator == "taylor":
             # Constraints are linear in the noise with gradient -P', so the
             # first-order std is exact.
@@ -207,30 +211,22 @@ class RobustEvaluator:
         return self.evaluate(x)[1]
 
 
-def _coerce_sigma_blocks(p_coupling, sigma):
-    """Accept an UncertaintyModel, per-block covariances or a full matrix."""
+def _noise_model(problem, sigma) -> UncertaintyModel:
+    """The noise of a run on ``problem``: ``sigma``, or zero noise when None.
+
+    Raises ValueError unless ``sigma`` is None or an
+    :class:`~umdobench.problem.UncertaintyModel` whose blocks match the
+    problem's coupling dimensions.
+    """
+    p_coupling = problem.config.p_coupling
     if sigma is None:
-        return tuple(np.zeros((p, p)) for p in p_coupling)
-    if isinstance(sigma, UncertaintyModel):
-        return sigma.sigma_blocks
-    if isinstance(sigma, (tuple, list)):
-        blocks = tuple(np.asarray(b, dtype=float) for b in sigma)
-        if tuple(b.shape[0] for b in blocks) != tuple(p_coupling):
-            raise ValueError("sigma blocks do not match the coupling dimensions")
-        return blocks
-    sigma = np.asarray(sigma, dtype=float)
-    p = sum(p_coupling)
-    if sigma.shape != (p, p):
-        raise ValueError(f"sigma must have shape ({p}, {p}), got {sigma.shape}")
-    offsets = np.concatenate([[0], np.cumsum(p_coupling)]).astype(int)
-    blocks = []
-    mask = np.ones_like(sigma, dtype=bool)
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        blocks.append(sigma[lo:hi, lo:hi])
-        mask[lo:hi, lo:hi] = False
-    if np.any(np.abs(sigma[mask]) > 1e-14):
-        raise ValueError("cross-discipline noise correlations are not supported")
-    return tuple(blocks)
+        return UncertaintyModel.disabled(p_coupling)
+    got = sigma.p_coupling if isinstance(sigma, UncertaintyModel) else type(sigma).__name__
+    if got != p_coupling:
+        raise ValueError(
+            f"sigma must be an UncertaintyModel with p_coupling {p_coupling}, got {got}"
+        )
+    return sigma
 
 
 def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | None = None) -> RunResult:

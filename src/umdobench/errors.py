@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "UmdoBenchError",
+    "CapacityError",
+    "ProblemFormatError",
+    "ProblemVersionError",
+    "SingularCouplingError",
+    "NumericalError",
+    "UndefinedMetricError",
+    "InfeasibleReferenceError",
+]
+
 
 class UmdoBenchError(Exception):
     """Base class for all package-specific errors."""

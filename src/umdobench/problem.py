@@ -561,11 +561,17 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
-def _as_matrix(value, shape, path):
+def _as_blocks(value, n, path):
+    if not isinstance(value, list) or len(value) != n:
+        raise ProblemFormatError(f"expected a list of {n} blocks", field=path)
+    return value
+
+
+def _as_array(value, shape, path):
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"not a numeric matrix: {exc}", field=path) from exc
+        raise ProblemFormatError(f"not a numeric array: {exc}", field=path) from exc
     if arr.shape != shape:
         raise ProblemFormatError(
             f"expected shape {shape}, got {arr.shape}", field=path
@@ -612,35 +618,33 @@ def deserialize(data: bytes | str) -> ScalableProblem:
         raise ProblemFormatError(f"invalid config: {exc}", field="config") from exc
 
     n = config.n_disciplines
-    a = np.asarray(_require(doc, "a", ""), dtype=float)
-    if a.shape != (config.p,):
-        raise ProblemFormatError(
-            f"expected length {config.p}, got shape {a.shape}", field="a"
-        )
+    a = _as_array(_require(doc, "a", ""), (config.p,), "a")
 
-    d_shared_doc = _require(doc, "D_shared", "")
-    d_local_doc = _require(doc, "D_local", "")
-    if len(d_shared_doc) != n:
-        raise ProblemFormatError(f"expected {n} blocks", field="D_shared")
-    if len(d_local_doc) != n:
-        raise ProblemFormatError(f"expected {n} blocks", field="D_local")
+    d_shared_doc = _as_blocks(_require(doc, "D_shared", ""), n, "D_shared")
+    d_local_doc = _as_blocks(_require(doc, "D_local", ""), n, "D_local")
     D_shared = tuple(
-        _as_matrix(m, (config.p_coupling[i], config.d_shared), f"D_shared[{i}]")
+        _as_array(m, (config.p_coupling[i], config.d_shared), f"D_shared[{i}]")
         for i, m in enumerate(d_shared_doc)
     )
     D_local = tuple(
-        _as_matrix(m, (config.p_coupling[i], config.d_local[i]), f"D_local[{i}]")
+        _as_array(m, (config.p_coupling[i], config.d_local[i]), f"D_local[{i}]")
         for i, m in enumerate(d_local_doc)
     )
 
     C_blocks = {}
-    for entry in _require(doc, "C_blocks", ""):
+    c_doc = _require(doc, "C_blocks", "")
+    if not isinstance(c_doc, list):
+        raise ProblemFormatError("expected a list of [i, j, matrix] triples", field="C_blocks")
+    for entry in c_doc:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ProblemFormatError("expected [i, j, matrix] triples", field="C_blocks")
-        i, j = int(entry[0]), int(entry[1])
+        try:
+            i, j = int(entry[0]), int(entry[1])
+        except (TypeError, ValueError) as exc:
+            raise ProblemFormatError(f"invalid block index: {exc}", field="C_blocks") from exc
         if not (0 <= i < n and 0 <= j < n and i != j):
             raise ProblemFormatError(f"invalid block index ({i}, {j})", field="C_blocks")
-        C_blocks[(i, j)] = _as_matrix(
+        C_blocks[(i, j)] = _as_array(
             entry[2],
             (config.p_coupling[i], config.p_coupling[j]),
             f"C_blocks[{i},{j}]",
@@ -652,16 +656,17 @@ def deserialize(data: bytes | str) -> ScalableProblem:
             field="C_blocks",
         )
 
-    t = float(_require(doc, "t", ""))
+    try:
+        t = float(_require(doc, "t", ""))
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"not a number: {exc}", field="t") from exc
 
     sigma_doc = _require(doc, "sigma_blocks", "")
     uncertainty = None
     if sigma_doc is not None:
-        if len(sigma_doc) != n:
-            raise ProblemFormatError(f"expected {n} blocks", field="sigma_blocks")
         blocks = tuple(
-            _as_matrix(m, (config.p_coupling[i], config.p_coupling[i]), f"sigma_blocks[{i}]")
-            for i, m in enumerate(sigma_doc)
+            _as_array(m, (config.p_coupling[i], config.p_coupling[i]), f"sigma_blocks[{i}]")
+            for i, m in enumerate(_as_blocks(sigma_doc, n, "sigma_blocks"))
         )
         try:
             uncertainty = UncertaintyModel(kind="gaussian", sigma_blocks=blocks)

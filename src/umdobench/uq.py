@@ -2,11 +2,11 @@
 
 Two estimators of the objective/constraint statistics are provided here:
 
-* Monte-Carlo sampling (:func:`mc_estimate`, :func:`mc_estimate_probability`):
-  unbiased sample mean and (M-1)-denominator standard deviation over i.i.d.
-  noise realizations. All M realizations are handed as one (M, p) block to a
-  caller-supplied function, which typically solves them in one block
-  coupling solve and returns one row of outputs per realization.
+* Monte-Carlo sampling (:func:`mc_estimate`): unbiased sample mean and
+  (M-1)-denominator standard deviation over i.i.d. noise realizations. All M
+  realizations are handed as one (M, p) block to a caller-supplied function,
+  which typically solves them in one block coupling solve and returns one row
+  of outputs per realization.
 * Closed forms (:func:`exact_stats`): ground truth available because the
   coupling solution is affine in both design and noise. Used as the oracle
   when benchmarking the sampled and Taylor estimators.
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 
@@ -33,8 +32,8 @@ __all__ = [
     "StatEstimate",
     "ExactStats",
     "GaussianSampler",
+    "composed_value",
     "mc_estimate",
-    "mc_estimate_probability",
     "exact_stats",
 ]
 
@@ -50,14 +49,11 @@ class StatisticSpec:
     violation at level ``epsilon``.
     """
 
-    objective_stat: str = "expectation"
     constraint_stat: str = "margin"
     kappa: float = 2.0
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.objective_stat != "expectation":
-            raise ValueError("objective_stat must be 'expectation'")
         if self.constraint_stat not in _CONSTRAINT_STATS:
             raise ValueError(
                 f"constraint_stat must be one of {_CONSTRAINT_STATS}, "
@@ -115,7 +111,7 @@ def composed_value(mean, std, spec: StatisticSpec | None) -> np.ndarray:
         return mean + spec.kappa * np.atleast_1d(np.asarray(std, dtype=float))
     raise ValueError(
         "probability statistics are not composed from mean/std; use the "
-        "chance-constrained QP reduction or mc_estimate_probability"
+        "chance-constrained QP reduction"
     )
 
 
@@ -139,19 +135,6 @@ class GaussianSampler:
                 raise ValueError(f"sigma block {i} is not positive semi-definite")
             self._factors.append(v * np.sqrt(np.maximum(w, 0.0)))
 
-    @classmethod
-    def from_model(cls, model) -> "GaussianSampler":
-        """Build from an :class:`~umdobench.problem.UncertaintyModel`."""
-        return cls(model.sigma_blocks)
-
-    @property
-    def p(self) -> int:
-        return sum(b.shape[0] for b in self.sigma_blocks)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return scipy.linalg.block_diag(*self.sigma_blocks)
-
     def draw(self, m: int, seed) -> np.ndarray:
         """Draw ``m`` realizations, shape (m, p)."""
         rng = np.random.default_rng(seed)
@@ -160,23 +143,6 @@ class GaussianSampler:
             for factor in self._factors
         ]
         return np.concatenate(parts, axis=1)
-
-
-def _run_samples(fn, x, sampler, m, seed):
-    """Evaluate fn on one block of m draws; drop the rows holding NaN.
-
-    Returns the kept rows, shape (kept, k), and the number dropped.
-    """
-    values = np.asarray(fn(x, sampler.draw(m, seed)), dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    if values.ndim != 2 or values.shape[0] != m:
-        raise ValueError(
-            f"fn must return one row per realization, shape ({m},) or ({m}, k); "
-            f"got {values.shape}"
-        )
-    ok = ~np.isnan(values).any(axis=1)
-    return values[ok], m - int(np.count_nonzero(ok))
 
 
 def mc_estimate(fn, x, sampler, m: int, seed, spec: StatisticSpec | None = None) -> StatEstimate:
@@ -192,7 +158,15 @@ def mc_estimate(fn, x, sampler, m: int, seed, spec: StatisticSpec | None = None)
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    values, n_failed = _run_samples(fn, x, sampler, m, seed)
+    values = np.asarray(fn(x, sampler.draw(m, seed)), dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.ndim != 2 or values.shape[0] != m:
+        raise ValueError(
+            f"fn must return one row per realization, shape ({m},) or ({m}, k); "
+            f"got {values.shape}"
+        )
+    values = values[~np.isnan(values).any(axis=1)]
     if len(values) < 2:
         raise NumericalError(
             f"only {len(values)} of {m} realizations converged; cannot estimate"
@@ -205,23 +179,8 @@ def mc_estimate(fn, x, sampler, m: int, seed, spec: StatisticSpec | None = None)
         value=composed_value(mean, std, spec),
         n_evals=m,
         estimator="mc",
-        n_failed=n_failed,
+        n_failed=m - len(values),
     )
-
-
-def mc_estimate_probability(fn, x, sampler, m: int, seed) -> np.ndarray:
-    """Componentwise empirical frequency of ``fn(x, U) >= 0``.
-
-    ``fn`` follows the block contract of :func:`mc_estimate`. Rows holding
-    NaN (failed realizations) are excluded from both numerator and
-    denominator.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    values, _ = _run_samples(fn, x, sampler, m, seed)
-    if not len(values):
-        raise NumericalError(f"none of {m} realizations converged")
-    return np.mean(values >= 0.0, axis=0)
 
 
 def exact_stats(system, t: float, sigma, x, spec: StatisticSpec | None = None) -> ExactStats:

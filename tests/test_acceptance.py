@@ -111,7 +111,7 @@ def test_criterion_4_margin_probability_reductions():
     alpha, beta, P = system.linear_map
     tau = np.sqrt(np.maximum(np.diag(P @ sigma @ P.T), 0.0))
     m = 100_000
-    noise = GaussianSampler.from_model(problem.uncertainty).draw(m, seed=2024) @ P.T
+    noise = GaussianSampler(problem.uncertainty.sigma_blocks).draw(m, seed=2024) @ P.T
     # Composite mean + kappa*std estimator: Var ~ tau^2 (1 + kappa^2/2) / m.
     se = np.maximum(tau * np.sqrt((1.0 + kappa ** 2 / 2.0) / m), 1e-300)
     rng = np.random.default_rng(77)
@@ -191,7 +191,7 @@ def test_criterion_7_mc_convergence_rate():
     start = time.perf_counter()
     problem = default_benchmark_problem(seed=70)
     system = assemble(problem)
-    sampler = GaussianSampler.from_model(problem.uncertainty)
+    sampler = GaussianSampler(problem.uncertainty.sigma_blocks)
     alpha, beta, P = system.linear_map
     x = np.full(system.d, 0.5)
     x0 = x[: system.d_shared]

@@ -22,6 +22,7 @@ from umdobench.bench import (
 from umdobench.driver import OptimizerSettings
 from umdobench.errors import InfeasibleReferenceError, NumericalError
 from umdobench.mda import MDASettings
+from umdobench.problem import UncertaintyModel
 from umdobench.uq import StatisticSpec
 
 FAST = OptimizerSettings(max_iter=40)
@@ -185,6 +186,10 @@ def test_argument_validation():
         run_benchmark(problem, (), workers=1)
     with pytest.raises(ValueError, match="workers"):
         run_benchmark(problem, ("exact",), workers=0)
+    with pytest.raises(ValueError, match="p_coupling"):
+        run_benchmark(
+            problem, ("exact",), sigma=UncertaintyModel.isotropic((2, 4), 0.01), workers=1
+        )
 
 
 def test_worker_resolution_from_environment(monkeypatch):

@@ -147,6 +147,17 @@ def test_corrupt_problem_file_exits_4(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_field_exits_4_without_traceback(problem_path, tmp_path, capsys):
+    doc = json.loads(problem_path.read_bytes())
+    doc["t"] = "abc"
+    bad = tmp_path / "bad_t.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve-ref", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "field: t" in err
+    assert "Traceback" not in err
+
+
 def test_missing_problem_file_exits_4(tmp_path, capsys):
     assert main(["solve-ref", str(tmp_path / "absent.json")]) == 4
 

@@ -56,11 +56,15 @@ def test_evaluator_argument_validation():
             StatisticSpec(constraint_stat="probability", epsilon=0.05),
             "exact",
         )
-    # Cross-discipline correlations in a full matrix are rejected.
-    full = 0.01 * np.eye(6)
-    full[0, 5] = full[5, 0] = 0.001
-    with pytest.raises(ValueError):
-        RobustEvaluator(problem, full, MARGIN, "exact")
+    # The noise must be a model laid out like the problem's (3, 3) coupling.
+    for sigma in (
+        UncertaintyModel.isotropic((2, 4), 0.01),
+        UncertaintyModel.isotropic((4, 4), 0.01),
+        problem.uncertainty.sigma,
+    ):
+        for estimator in ("exact", "taylor", "mc"):
+            with pytest.raises(ValueError, match="p_coupling"):
+                RobustEvaluator(problem, sigma, MARGIN, estimator)
 
 
 def test_exact_functions_reduce_to_deterministic_qp():

@@ -34,3 +34,25 @@ def test_import_defers_unused_modules():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_public_names_resolve():
+    # Each submodule's __all__ names only what it defines, and the package
+    # root re-exports only names that some submodule declares public.
+    import ast
+    import importlib
+    import pkgutil
+
+    package = ROOT / "src" / "umdobench"
+    for info in pkgutil.iter_modules([str(package)]):
+        module = importlib.import_module(f"umdobench.{info.name}")
+        missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        assert not missing, f"umdobench.{info.name}.__all__ names undefined {missing}"
+
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1]
+    assert imports
+    for node in imports:
+        public = getattr(importlib.import_module(f"umdobench.{node.module}"), "__all__", ())
+        stray = [a.name for a in node.names if not a.name.startswith("_") and a.name not in public]
+        assert not stray, f"umdobench re-exports {stray} missing from umdobench.{node.module}.__all__"

@@ -413,6 +413,29 @@ def test_deserialize_rejects_bad_inputs(small_config):
     with pytest.raises(ProblemFormatError):
         deserialize(json.dumps(doc))
 
+    # Malformed values raise the typed error and name their field.
+    def non_numeric_a(doc):
+        doc["a"][0] = "x"
+
+    def bad_index(doc):
+        doc["C_blocks"][0][0] = "a"
+
+    cases = [
+        (non_numeric_a, "a"),
+        (lambda doc: doc.update(t="abc"), "t"),
+        (lambda doc: doc.update(t=None), "t"),
+        (lambda doc: doc.update(D_shared=1.0), "D_shared"),
+        (lambda doc: doc.update(D_local=1.0), "D_local"),
+        (lambda doc: doc.update(sigma_blocks=1.0), "sigma_blocks"),
+        (bad_index, "C_blocks"),
+    ]
+    for corrupt, field in cases:
+        doc = json.loads(payload)
+        corrupt(doc)
+        with pytest.raises(ProblemFormatError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.field == field
+
 
 def test_uncertainty_model_validation():
     with pytest.raises(ValueError):
