@@ -45,7 +45,7 @@ print("exact margin constraints:", np.round(exact.constraints.value, 4))
 
 for m in (50, 200, 1000):
     evaluator = RobustEvaluator(
-        problem, problem.uncertainty, spec, "mc", m=m, seed=123,
+        system, problem.t, problem.uncertainty, spec, "mc", m=m, seed=123,
         mda_settings=MDASettings(method="direct"),
     )
     f_hat = evaluator.objective(x)
@@ -60,7 +60,7 @@ for m in (50, 200, 1000):
 # standard deviations; constraint margins are nearly exact here, the
 # objective mean misses the quadratic noise energy.
 
-taylor = RobustEvaluator(problem, problem.uncertainty, spec, "taylor",
+taylor = RobustEvaluator(system, problem.t, problem.uncertainty, spec, "taylor",
                          mda_settings=MDASettings(method="direct"))
 print("taylor objective:", f"{taylor.objective(x):.6f}")
 print("taylor margin gap:", f"{np.max(np.abs(taylor.constraints(x) - exact.constraints.value)):.2e}")

@@ -1,12 +1,12 @@
 """Estimator benchmarking: repeated MDF runs scored against the QP reference.
 
-A benchmark takes a tuned problem, solves the reference QP once, then runs
-the statistic-wrapped optimization once per estimator and repetition and
-records the percent errors of each run. Sampling estimators get one
-repetition per seed; deterministic estimators (``exact``, ``taylor``) always
-produce the same run, so they execute once regardless of the requested
-repetition count. Per-run failures are recorded in the report instead of
-aborting the remaining runs.
+A benchmark assembles a tuned problem once, solves the reference QP on that
+system, then runs the statistic-wrapped optimization on the same system once
+per estimator and repetition and records the percent errors of each run.
+Sampling estimators get one repetition per seed; deterministic estimators
+(``exact``, ``taylor``) always produce the same run, so they execute once
+regardless of the requested repetition count. Per-run failures are recorded
+in the report instead of aborting the remaining runs.
 
 Reports serialize to JSON and to a flat CSV with one row per run; both carry
 the same numeric values. Error metrics, evaluation counts and seeds are
@@ -35,6 +35,7 @@ from .driver import (
 from .errors import InfeasibleReferenceError, NumericalError
 from .mda import MDASettings
 from .problem import (
+    BlockSystem,
     ProblemConfig,
     UncertaintyModel,
     assemble,
@@ -216,9 +217,13 @@ class BenchmarkReport:
 
 @dataclass(frozen=True)
 class _RunTask:
-    """Everything one worker needs to execute and score a single run."""
+    """Everything one worker needs to execute and score a single run.
 
-    problem: object
+    ``system`` is pickled with the maps the reference QP cached on it.
+    """
+
+    system: BlockSystem
+    t: float
     sigma: UncertaintyModel
     spec: StatisticSpec
     optimizer: OptimizerSettings
@@ -235,7 +240,8 @@ def _execute_run(task: _RunTask):
     """Run one estimator repetition; never raises (failures are reported)."""
     try:
         evaluator = RobustEvaluator(
-            task.problem,
+            task.system,
+            task.t,
             task.sigma,
             task.spec,
             task.kind,
@@ -243,7 +249,7 @@ def _execute_run(task: _RunTask):
             seed=task.seed,
             mda_settings=task.mda_settings,
         )
-        run = optimize(evaluator.objective, evaluator.constraints, task.optimizer)
+        run = optimize(evaluator, task.optimizer)
         dx, df, dg = percent_errors(run, task.reference)
         return BenchmarkRun(
             estimator=task.label,
@@ -313,9 +319,10 @@ def run_benchmark(
     seeds ``base_seed + rep``; deterministic estimators run once. ``sigma``
     is an :class:`~umdobench.problem.UncertaintyModel` whose ``p_coupling``
     matches the problem's, or None for the model stored on the problem (zero
-    noise if the problem has none). Runs execute in a process pool
-    whose size is ``workers``, else the ``UMDO_BENCH_THREADS`` environment
-    variable, else one; results do not depend on the pool size.
+    noise if the problem has none). The reference QP and every run read one
+    assembled system. Runs execute in a process pool whose size is
+    ``workers``, else the ``UMDO_BENCH_THREADS`` environment variable, else
+    one; results do not depend on the pool size.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -325,7 +332,9 @@ def run_benchmark(
             "probability-constrained runs are reference-only and cannot be benchmarked"
         )
     optimizer = optimizer if optimizer is not None else OptimizerSettings()
-    model = _noise_model(problem, sigma if sigma is not None else problem.uncertainty)
+    model = _noise_model(
+        problem.config.p_coupling, sigma if sigma is not None else problem.uncertainty
+    )
 
     parsed = [(label, *parse_estimator(label)) for label in estimators]
     if not parsed:
@@ -351,7 +360,8 @@ def run_benchmark(
         for rep in range(reps):
             tasks.append(
                 _RunTask(
-                    problem=problem,
+                    system=system,
+                    t=problem.t,
                     sigma=model,
                     spec=spec,
                     optimizer=optimizer,

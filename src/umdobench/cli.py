@@ -67,13 +67,11 @@ def _load_problem(path: str):
 
 
 def _sigma_model(problem, std: float | None):
-    """Isotropic model from the command line, else the one stored on the file."""
+    """Isotropic model from the command line, else the one stored on the file
+    (None when the file has none)."""
     if std is not None:
         return UncertaintyModel.isotropic(problem.config.p_coupling, std)
-    model = problem.uncertainty
-    if model is not None and model.kind != "none":
-        return model
-    return None
+    return problem.uncertainty
 
 
 def _statistic_spec(statistic: str, kappa: float) -> StatisticSpec:
@@ -190,7 +188,8 @@ def cmd_solve_mdf(args) -> int:
         spec = _statistic_spec(args.statistic, args.kappa)
         settings = OptimizerSettings(max_iter=args.max_iter)
         evaluator = RobustEvaluator(
-            problem,
+            assemble(problem),
+            problem.t,
             _sigma_model(problem, args.sigma),
             spec,
             kind,
@@ -199,7 +198,7 @@ def cmd_solve_mdf(args) -> int:
         )
     except ValueError as exc:
         return _fail_usage(str(exc))
-    run = optimize(evaluator.objective, evaluator.constraints, settings)
+    run = optimize(evaluator, settings)
     _write_json(
         {
             "x_opt": [float(v) for v in run.x_opt],

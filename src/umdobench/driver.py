@@ -7,6 +7,9 @@ for the Taylor estimator) and handed to a derivative-free trust-region
 optimizer (COBYLA). Reference solutions from the QP reduction quantify the
 estimation error of each pipeline.
 
+An evaluator reads an assembled system and never builds one, so a
+benchmark's reference QP and all of its runs share one system and its caches.
+
 ``scipy.optimize`` is loaded on the first :func:`optimize` call, not when
 the package is imported: the reference chain never needs it.
 """
@@ -15,13 +18,15 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UndefinedMetricError
 from .mda import MDASettings, solve_mda
-from .problem import UncertaintyModel, assemble
+# Unused here; perfbench's SPAN_POINTS and tests/test_tracer_points.py look
+# ``assemble`` up under ``umdobench.driver``.
+from .problem import UncertaintyModel, assemble  # noqa: F401
 from .uq import GaussianSampler, composed_value, exact_stats, mc_estimate
 
 __all__ = [
@@ -74,11 +79,14 @@ class RunResult:
     converged: bool
     estimator: str
     wall_time: float
-    metadata: dict = field(default_factory=dict)
 
 
 class RobustEvaluator:
     """Shared objective/constraint evaluation with per-point caching.
+
+    ``system`` is the problem's assembled ``BlockSystem`` and ``t`` its
+    threshold. The system is only read, so evaluators and the reference QP
+    can share it and the maps cached on it.
 
     The optimizer queries the objective and the constraints separately at the
     same design point; a single-entry cache makes both read one statistical
@@ -97,7 +105,7 @@ class RobustEvaluator:
 
     ``sigma`` is the coupling noise, an
     :class:`~umdobench.problem.UncertaintyModel` whose ``p_coupling`` matches
-    the problem's, or None for zero noise.
+    the system's, or None for zero noise.
 
     The Taylor estimator's propagated standard deviation does not depend on
     the design point, so it is computed once, when the evaluator is built:
@@ -105,7 +113,7 @@ class RobustEvaluator:
     surface from the constructor rather than from the first evaluation.
     """
 
-    def __init__(self, problem, sigma, spec, estimator, m=200, seed=0, mda_settings=None):
+    def __init__(self, system, t, sigma, spec, estimator, m=200, seed=0, mda_settings=None):
         if estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
         if spec.constraint_stat == "probability":
@@ -115,9 +123,9 @@ class RobustEvaluator:
             )
         if estimator == "mc" and m < 2:
             raise ValueError("mc estimator needs m >= 2")
-        model = _noise_model(problem, sigma)
-        self.system = assemble(problem)
-        self.t = problem.t
+        model = _noise_model(system.p_coupling, sigma)
+        self.system = system
+        self.t = t
         self.spec = spec
         self.estimator = estimator
         self.m = m
@@ -211,16 +219,14 @@ class RobustEvaluator:
         return self.evaluate(x)[1]
 
 
-def _noise_model(problem, sigma) -> UncertaintyModel:
-    """The noise of a run on ``problem``: ``sigma``, or zero noise when None.
+def _noise_model(p_coupling, sigma) -> UncertaintyModel:
+    """The noise on coupling blocks ``p_coupling``: ``sigma``, or zero if None.
 
     Raises ValueError unless ``sigma`` is None or an
-    :class:`~umdobench.problem.UncertaintyModel` whose blocks match the
-    problem's coupling dimensions.
+    :class:`~umdobench.problem.UncertaintyModel` with these blocks.
     """
-    p_coupling = problem.config.p_coupling
     if sigma is None:
-        return UncertaintyModel.disabled(p_coupling)
+        return UncertaintyModel.isotropic(p_coupling, 0.0)
     got = sigma.p_coupling if isinstance(sigma, UncertaintyModel) else type(sigma).__name__
     if got != p_coupling:
         raise ValueError(
@@ -229,8 +235,9 @@ def _noise_model(problem, sigma) -> UncertaintyModel:
     return sigma
 
 
-def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | None = None) -> RunResult:
-    """Minimize ``obj`` subject to ``cons(x) <= 0`` and the unit box.
+def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = None) -> RunResult:
+    """Minimize the evaluator's objective subject to its constraints <= 0
+    and the unit box, in the evaluator's ``system.d`` design variables.
 
     Runs COBYLA (linear-approximation trust region) with the box encoded as
     extra linear constraints and returns the best iterate that is feasible up
@@ -240,19 +247,12 @@ def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | No
     """
     if settings is None:
         settings = OptimizerSettings()
-    evaluator = getattr(obj, "__self__", None)
-    if dim is None:
-        if evaluator is not None and hasattr(evaluator, "system"):
-            dim = evaluator.system.d
-        elif settings.x0 is not None:
-            dim = settings.x0.size
-        else:
-            raise ValueError("dim is required when x0 and evaluator are absent")
+    dim = evaluator.system.d
     x0 = settings.x0 if settings.x0 is not None else np.full(dim, 0.5)
     if x0.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},), got {x0.shape}")
 
-    evals_before = getattr(evaluator, "n_discipline_evals", 0)
+    evals_before = evaluator.n_discipline_evals
     history = []
 
     def violation(x, g):
@@ -261,20 +261,16 @@ def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | No
 
     def wrapped_obj(x):
         x = np.asarray(x, dtype=float)
-        f = float(obj(x))
-        g = np.atleast_1d(np.asarray(cons(x), dtype=float))
+        f = evaluator.objective(x)
+        g = evaluator.constraints(x)
         history.append((x.copy(), f, g))
         return f
 
     constraints = [
+        {"type": "ineq", "fun": lambda x: -evaluator.constraints(x)},
         {"type": "ineq", "fun": lambda x: np.asarray(x, dtype=float)},
         {"type": "ineq", "fun": lambda x: 1.0 - np.asarray(x, dtype=float)},
     ]
-    if np.atleast_1d(np.asarray(cons(x0), dtype=float)).size:
-        constraints.insert(
-            0,
-            {"type": "ineq", "fun": lambda x: -np.atleast_1d(np.asarray(cons(x), dtype=float))},
-        )
 
     # Local so that importing the package does not load scipy.optimize.
     import scipy.optimize
@@ -306,19 +302,11 @@ def optimize(obj, cons, settings: OptimizerSettings | None = None, dim: int | No
         x_opt=x_best,
         f_opt=f_best,
         g_opt=g_best,
-        n_discipline_evals=getattr(evaluator, "n_discipline_evals", 0) - evals_before,
+        n_discipline_evals=evaluator.n_discipline_evals - evals_before,
         n_optimizer_iters=len(history),
         converged=converged,
-        estimator=getattr(evaluator, "estimator", "custom"),
+        estimator=evaluator.estimator,
         wall_time=wall,
-        metadata={
-            "x0": x0.tolist(),
-            "initial_trust_radius": settings.initial_trust_radius,
-            "final_trust_radius": settings.final_trust_radius,
-            "n_objective_evals": len(history),
-            "n_failed_samples": getattr(evaluator, "n_failed_samples", 0),
-            "common_random_numbers": getattr(evaluator, "estimator", "") == "mc",
-        },
     )
 
 

@@ -146,15 +146,13 @@ class UncertaintyModel:
     """Centered block-independent noise added to the coupling equations.
 
     ``sigma_blocks[i]`` is the covariance of the noise entering discipline i;
-    the assembled covariance is block diagonal. The mean is zero.
+    the assembled covariance is block diagonal. The mean is zero. Zero
+    noise is the model whose blocks are all zero, e.g. ``isotropic(p, 0.0)``.
     """
 
-    kind: str
     sigma_blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "none"):
-            raise ValueError(f"unknown uncertainty kind: {self.kind!r}")
         blocks = tuple(np.asarray(b, dtype=float) for b in self.sigma_blocks)
         for i, b in enumerate(blocks):
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -181,12 +179,7 @@ class UncertaintyModel:
         if std < 0:
             raise ValueError("std must be >= 0")
         blocks = tuple(std ** 2 * np.eye(p) for p in p_coupling)
-        return cls(kind="gaussian", sigma_blocks=blocks)
-
-    @classmethod
-    def disabled(cls, p_coupling) -> "UncertaintyModel":
-        """Zero-noise model (deterministic problem)."""
-        return cls(kind="none", sigma_blocks=tuple(np.zeros((p, p)) for p in p_coupling))
+        return cls(sigma_blocks=blocks)
 
 
 @dataclass
@@ -545,9 +538,7 @@ def serialize(problem: ScalableProblem) -> bytes:
         ],
         "t": problem.t,
         "sigma_blocks": (
-            None
-            if problem.uncertainty is None or problem.uncertainty.kind == "none"
-            else problem.uncertainty.sigma_blocks
+            None if problem.uncertainty is None else problem.uncertainty.sigma_blocks
         ),
     }
     return _emit(doc).encode("ascii")
@@ -559,6 +550,30 @@ def _require(mapping, key, path):
     if key not in mapping:
         raise ProblemFormatError("missing required field", field=f"{path}{key}")
     return mapping[key]
+
+
+def _as_int(value, path):
+    """A JSON integer. Bools and floats, even integral ones such as 2.0, are
+    rejected; ``int()`` would silently read 2.7 as 2 and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProblemFormatError(f"expected an integer, got {value!r}", field=path)
+    return value
+
+
+def _as_int_list(value, path):
+    if not isinstance(value, list):
+        raise ProblemFormatError("expected a list of integers", field=path)
+    return tuple(_as_int(v, f"{path}[{k}]") for k, v in enumerate(value))
+
+
+def _as_float(value, path):
+    """A JSON number; bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemFormatError(f"expected a number, got {value!r}", field=path)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ProblemFormatError(f"not a float: {exc}", field=path) from exc
 
 
 def _as_blocks(value, n, path):
@@ -582,6 +597,10 @@ def _as_array(value, shape, path):
 def deserialize(data: bytes | str) -> ScalableProblem:
     """Parse problem bytes written by :func:`serialize`.
 
+    Integer fields (the version, the config integers and the block indices)
+    must be JSON integers, and the threshold and config floats JSON numbers;
+    booleans are neither. Array elements are read by ``numpy``.
+
     Raises
     ------
     ProblemVersionError
@@ -596,7 +615,7 @@ def deserialize(data: bytes | str) -> ScalableProblem:
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}", field="<root>") from exc
 
-    version = _require(doc, "version", "")
+    version = _as_int(_require(doc, "version", ""), "version")
     if version != FORMAT_VERSION:
         raise ProblemVersionError(
             f"unsupported format version {version!r} (expected {FORMAT_VERSION})",
@@ -604,17 +623,21 @@ def deserialize(data: bytes | str) -> ScalableProblem:
         )
 
     cfg_doc = _require(doc, "config", "")
-    try:
-        config = ProblemConfig(
-            n_disciplines=int(_require(cfg_doc, "n_disciplines", "config.")),
-            d_shared=int(_require(cfg_doc, "d_shared", "config.")),
-            d_local=tuple(_require(cfg_doc, "d_local", "config.")),
-            p_coupling=tuple(_require(cfg_doc, "p_coupling", "config.")),
-            coupling_strength=float(_require(cfg_doc, "coupling_strength", "config.")),
-            feasibility_level=float(_require(cfg_doc, "feasibility_level", "config.")),
-            seed=int(_require(cfg_doc, "seed", "config.")),
+    fields = {
+        key: convert(_require(cfg_doc, key, "config."), f"config.{key}")
+        for key, convert in (
+            ("n_disciplines", _as_int),
+            ("d_shared", _as_int),
+            ("d_local", _as_int_list),
+            ("p_coupling", _as_int_list),
+            ("coupling_strength", _as_float),
+            ("feasibility_level", _as_float),
+            ("seed", _as_int),
         )
-    except (TypeError, ValueError) as exc:
+    }
+    try:
+        config = ProblemConfig(**fields)
+    except ValueError as exc:
         raise ProblemFormatError(f"invalid config: {exc}", field="config") from exc
 
     n = config.n_disciplines
@@ -638,10 +661,7 @@ def deserialize(data: bytes | str) -> ScalableProblem:
     for entry in c_doc:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ProblemFormatError("expected [i, j, matrix] triples", field="C_blocks")
-        try:
-            i, j = int(entry[0]), int(entry[1])
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"invalid block index: {exc}", field="C_blocks") from exc
+        i, j = _as_int(entry[0], "C_blocks"), _as_int(entry[1], "C_blocks")
         if not (0 <= i < n and 0 <= j < n and i != j):
             raise ProblemFormatError(f"invalid block index ({i}, {j})", field="C_blocks")
         C_blocks[(i, j)] = _as_array(
@@ -656,10 +676,7 @@ def deserialize(data: bytes | str) -> ScalableProblem:
             field="C_blocks",
         )
 
-    try:
-        t = float(_require(doc, "t", ""))
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"not a number: {exc}", field="t") from exc
+    t = _as_float(_require(doc, "t", ""), "t")
 
     sigma_doc = _require(doc, "sigma_blocks", "")
     uncertainty = None
@@ -669,7 +686,7 @@ def deserialize(data: bytes | str) -> ScalableProblem:
             for i, m in enumerate(_as_blocks(sigma_doc, n, "sigma_blocks"))
         )
         try:
-            uncertainty = UncertaintyModel(kind="gaussian", sigma_blocks=blocks)
+            uncertainty = UncertaintyModel(sigma_blocks=blocks)
         except ValueError as exc:
             raise ProblemFormatError(str(exc), field="sigma_blocks") from exc
 

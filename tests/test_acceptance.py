@@ -136,9 +136,9 @@ def test_criterion_5_exact_pipeline_agreement():
     start = time.perf_counter()
     problem = default_benchmark_problem(seed=70)
     spec = StatisticSpec(constraint_stat="margin", kappa=2.0)
-    evaluator = RobustEvaluator(problem, problem.uncertainty, spec, "exact")
-    run = optimize(evaluator.objective, evaluator.constraints, OptimizerSettings())
     system = assemble(problem)
+    evaluator = RobustEvaluator(system, problem.t, problem.uncertainty, spec, "exact")
+    run = optimize(evaluator, OptimizerSettings())
     ref = solve_qp(reduce_margin(system, problem.t, problem.uncertainty.sigma, 2.0))
     dx, df, dg = percent_errors(run, ref)
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 """Benchmark orchestration: repetitions, aggregation, reports, worker pool."""
 
 import csv
+import functools
 import io
 import json
 import platform
@@ -10,6 +11,8 @@ import pytest
 import scipy
 
 import umdobench.bench as bench
+import umdobench.driver as driver
+import umdobench.problem as problem_mod
 from umdobench.bench import (
     CSV_COLUMNS,
     default_benchmark_problem,
@@ -22,7 +25,7 @@ from umdobench.bench import (
 from umdobench.driver import OptimizerSettings
 from umdobench.errors import InfeasibleReferenceError, NumericalError
 from umdobench.mda import MDASettings
-from umdobench.problem import UncertaintyModel
+from umdobench.problem import BlockSystem, UncertaintyModel
 from umdobench.uq import StatisticSpec
 
 FAST = OptimizerSettings(max_iter=40)
@@ -151,10 +154,10 @@ def test_exact_estimator_reproduces_reference():
 def test_per_run_failures_recorded_not_fatal(monkeypatch):
     real_optimize = bench.optimize
 
-    def flaky(obj, cons, settings=None, dim=None):
-        if obj.__self__.estimator == "taylor":
+    def flaky(evaluator, settings=None):
+        if evaluator.estimator == "taylor":
             raise NumericalError("synthetic failure")
-        return real_optimize(obj, cons, settings, dim)
+        return real_optimize(evaluator, settings)
 
     monkeypatch.setattr(bench, "optimize", flaky)
     report = small_report(estimators=("exact", "taylor"))
@@ -162,6 +165,48 @@ def test_per_run_failures_recorded_not_fatal(monkeypatch):
     assert "synthetic failure" in report.failures[0]["error"]
     assert [r.estimator for r in report.runs] == ["exact"]
     assert [s.estimator for s in report.estimators] == ["exact"]
+
+
+def test_one_assembly_per_benchmark(monkeypatch):
+    # The reference QP and every run read one assembled system, so the
+    # assembly, the linear map and the output covariance of the noise are
+    # each computed once, whatever the estimators and repetitions.
+    problem = default_benchmark_problem(70)
+    calls = {"assemble": 0, "linear_map": 0}
+    covariances = []
+
+    real_assemble = problem_mod.assemble
+
+    def counted_assemble(problem):
+        calls["assemble"] += 1
+        return real_assemble(problem)
+
+    for module in (problem_mod, bench, driver):
+        monkeypatch.setattr(module, "assemble", counted_assemble)
+
+    real_map = BlockSystem.__dict__["linear_map"].func
+
+    def counted_map(self):
+        calls["linear_map"] += 1
+        return real_map(self)
+
+    counted_property = functools.cached_property(counted_map)
+    counted_property.__set_name__(BlockSystem, "linear_map")
+    monkeypatch.setattr(BlockSystem, "linear_map", counted_property)
+
+    real_covariance = BlockSystem.output_covariance
+
+    def counted_covariance(self, sigma):
+        cov = real_covariance(self, sigma)
+        covariances.append(cov)  # keeps each result alive, so ids stay unique
+        return cov
+
+    monkeypatch.setattr(BlockSystem, "output_covariance", counted_covariance)
+    report = run_benchmark(problem, ("mc:20", "taylor", "exact"), repetitions=2, workers=1)
+    assert not report.failures and len(report.runs) == 4
+    assert calls == {"assemble": 1, "linear_map": 1}
+    # A cache hit returns the stored array, so distinct arrays are computations.
+    assert len({id(cov) for cov in covariances}) == 1
 
 
 def test_probability_statistic_is_rejected():
@@ -208,7 +253,7 @@ def test_default_problem_is_tuned_and_noisy():
     assert problem.config.n_disciplines == 2
     assert problem.config.d == 5
     assert problem.t != 0.0
-    assert problem.uncertainty.kind == "gaussian"
+    assert isinstance(problem.uncertainty, UncertaintyModel)
     assert np.allclose(problem.uncertainty.sigma, 0.01 ** 2 * np.eye(6))
     again = default_benchmark_problem()
     assert problem == again

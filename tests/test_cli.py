@@ -40,7 +40,7 @@ def test_generate_writes_file_and_prints_digest(tmp_path, capsys):
     assert len(digest) == 64
     assert problem.config.seed == 70
     assert problem.t != 0.0
-    assert problem.uncertainty.kind == "gaussian"
+    assert np.allclose(problem.uncertainty.sigma, 0.01 ** 2 * np.eye(6))
 
 
 def test_generate_same_flags_same_file(tmp_path):
@@ -155,6 +155,17 @@ def test_malformed_field_exits_4_without_traceback(problem_path, tmp_path, capsy
     assert main(["solve-ref", str(bad)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:") and "field: t" in err
+    assert "Traceback" not in err
+
+
+def test_non_integer_field_exits_4_without_traceback(problem_path, tmp_path, capsys):
+    doc = json.loads(problem_path.read_bytes())
+    doc["config"]["seed"] = 70.9
+    bad = tmp_path / "bad_seed.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve-ref", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "field: config.seed" in err
     assert "Traceback" not in err
 
 

@@ -45,13 +45,15 @@ def test_settings_validation():
 
 def test_evaluator_argument_validation():
     problem = tuned_problem()
+    system, t = assemble(problem), problem.t
     with pytest.raises(ValueError):
-        RobustEvaluator(problem, problem.uncertainty, MARGIN, "simplex")
+        RobustEvaluator(system, t, problem.uncertainty, MARGIN, "simplex")
     with pytest.raises(ValueError):
-        RobustEvaluator(problem, problem.uncertainty, MARGIN, "mc", m=1)
+        RobustEvaluator(system, t, problem.uncertainty, MARGIN, "mc", m=1)
     with pytest.raises(ValueError):
         RobustEvaluator(
-            problem,
+            system,
+            t,
             problem.uncertainty,
             StatisticSpec(constraint_stat="probability", epsilon=0.05),
             "exact",
@@ -64,14 +66,14 @@ def test_evaluator_argument_validation():
     ):
         for estimator in ("exact", "taylor", "mc"):
             with pytest.raises(ValueError, match="p_coupling"):
-                RobustEvaluator(problem, sigma, MARGIN, estimator)
+                RobustEvaluator(system, t, sigma, MARGIN, estimator)
 
 
 def test_exact_functions_reduce_to_deterministic_qp():
     problem = tuned_problem(1)
     system = assemble(problem)
     qp = reduce_deterministic(system, problem.t)
-    evaluator = RobustEvaluator(problem, None, MARGIN, "exact")
+    evaluator = RobustEvaluator(system, problem.t, None, MARGIN, "exact")
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.random(system.d)
@@ -87,7 +89,7 @@ def test_taylor_margin_matches_closed_form():
     sigma = problem.uncertainty.sigma
     alpha, beta, P = system.linear_map
     evaluator = RobustEvaluator(
-        problem, problem.uncertainty, MARGIN, "taylor",
+        system, problem.t, problem.uncertainty, MARGIN, "taylor",
         mda_settings=MDASettings(method="direct"),
     )
     rng = np.random.default_rng(4)
@@ -107,7 +109,7 @@ def test_taylor_with_protocol_mda_stays_within_tolerance():
     system = assemble(problem)
     sigma = problem.uncertainty.sigma
     alpha, beta, P = system.linear_map
-    evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "taylor")
+    evaluator = RobustEvaluator(system, problem.t, problem.uncertainty, MARGIN, "taylor")
     std = np.sqrt(np.diag(P @ sigma @ P.T))
     x = np.full(system.d, 0.5)
     expected = (problem.t - alpha - beta @ x) + 2.0 * std
@@ -124,7 +126,7 @@ def test_taylor_std_is_computed_once_at_construction(monkeypatch):
 
     monkeypatch.setattr(BlockSystem, "output_covariance", counted)
     problem = tuned_problem(2)
-    evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "taylor")
+    evaluator = RobustEvaluator(assemble(problem), problem.t, problem.uncertainty, MARGIN, "taylor")
     assert len(calls) == 1
     rng = np.random.default_rng(5)
     for _ in range(4):
@@ -139,7 +141,7 @@ def test_mc_functions_near_exact_at_midpoint():
     x = np.full(system.d, 0.5)
     exact = exact_stats(system, problem.t, sigma, x, MARGIN)
     m = 200
-    evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "mc", m=m, seed=7)
+    evaluator = RobustEvaluator(system, problem.t, problem.uncertainty, MARGIN, "mc", m=m, seed=7)
     se_mean = 3.0 * exact.constraints.std / np.sqrt(m)
     # The margin adds kappa times the estimated std, whose own error is
     # about std/sqrt(2m); widen the band accordingly.
@@ -152,7 +154,7 @@ def test_mc_functions_near_exact_at_midpoint():
 def test_shared_cache_counts_one_evaluation_per_point():
     problem = tuned_problem(4)
     evaluator = RobustEvaluator(
-        problem, problem.uncertainty, MARGIN, "mc", m=50, seed=0,
+        assemble(problem), problem.t, problem.uncertainty, MARGIN, "mc", m=50, seed=0,
         mda_settings=MDASettings(method="direct"),
     )
     x = np.full(evaluator.system.d, 0.5)
@@ -166,10 +168,13 @@ def test_shared_cache_counts_one_evaluation_per_point():
 
 def test_mc_runs_are_deterministic_given_seed():
     problem = tuned_problem(5)
+    system = assemble(problem)
     results = []
     for _ in range(2):
-        evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "mc", m=100, seed=11)
-        results.append(optimize(evaluator.objective, evaluator.constraints, OptimizerSettings()))
+        evaluator = RobustEvaluator(
+            system, problem.t, problem.uncertainty, MARGIN, "mc", m=100, seed=11
+        )
+        results.append(optimize(evaluator, OptimizerSettings()))
     a, b = results
     assert np.array_equal(a.x_opt, b.x_opt)
     assert a.f_opt == b.f_opt
@@ -183,12 +188,14 @@ def test_evaluation_does_not_depend_on_earlier_points(estimator):
     # at a point must not depend on which points were evaluated before it;
     # otherwise the optimizer sees path-dependent noise.
     problem = tuned_problem(70)
-    d = assemble(problem).d
-    x_a = np.full(d, 0.2)
-    x_b = np.full(d, 0.8)
+    system = assemble(problem)
+    x_a = np.full(system.d, 0.2)
+    x_b = np.full(system.d, 0.8)
 
     def evaluator():
-        return RobustEvaluator(problem, problem.uncertainty, MARGIN, estimator, m=20, seed=3)
+        return RobustEvaluator(
+            system, problem.t, problem.uncertainty, MARGIN, estimator, m=20, seed=3
+        )
 
     f_fresh, g_fresh = evaluator().evaluate(x_b)
     after_a = evaluator()
@@ -198,38 +205,35 @@ def test_evaluation_does_not_depend_on_earlier_points(estimator):
     assert np.array_equal(g_after, g_fresh)
 
 
-def test_optimize_unconstrained_quadratic():
-    settings = OptimizerSettings(x0=np.array([0.9]))
-    result = optimize(
-        lambda x: (x[0] - 0.3) ** 2,
-        lambda x: np.zeros(0),
-        settings,
-        dim=1,
+def line_evaluator(a, D, t):
+    """Noise-free exact evaluator of one shared design variable x and one
+    coupling output y = a - D x: objective x^2 + y^2, constraint t - y <= 0."""
+    system = BlockSystem(
+        C=[[1.0]], D=[[D]], a=[a], Qx0=[[1.0]], p_coupling=(1,), d_shared=1, d_local=(0,)
     )
+    return RobustEvaluator(system, t, None, MARGIN, "exact")
+
+
+def test_optimize_unconstrained_quadratic():
+    # y = 0.6 - x: the objective x^2 + (0.6 - x)^2 is least at x = 0.3, and
+    # the constraint y >= -1 holds on the whole box.
+    settings = OptimizerSettings(x0=np.array([0.9]))
+    result = optimize(line_evaluator(0.6, 1.0, -1.0), settings)
     assert result.converged
     assert abs(result.x_opt[0] - 0.3) <= 1e-4
 
 
 def test_optimize_active_constraint():
-    result = optimize(
-        lambda x: x[0] ** 2,
-        lambda x: np.array([0.5 - x[0]]),
-        OptimizerSettings(x0=np.array([0.8])),
-        dim=1,
-    )
+    # y = x: minimize 2 x^2 subject to 0.5 - x <= 0.
+    result = optimize(line_evaluator(0.0, -1.0, 0.5), OptimizerSettings(x0=np.array([0.8])))
     assert result.converged
     assert abs(result.x_opt[0] - 0.5) <= 1e-4
     assert np.all(result.g_opt <= OptimizerSettings().g_tol)
 
 
 def test_optimize_reports_infeasible_problems():
-    # Constraint x >= 2 cannot hold inside the unit box.
-    result = optimize(
-        lambda x: x[0] ** 2,
-        lambda x: np.array([2.0 - x[0]]),
-        OptimizerSettings(x0=np.array([0.5])),
-        dim=1,
-    )
+    # y = x: constraint x >= 2 cannot hold inside the unit box.
+    result = optimize(line_evaluator(0.0, -1.0, 2.0), OptimizerSettings(x0=np.array([0.5])))
     assert not result.converged
     assert result.g_opt[0] > 0
 
@@ -242,8 +246,8 @@ def test_exact_estimator_lands_on_qp_reference():
         system = assemble(problem)
         ref = solve_qp(reduce_margin(system, problem.t, problem.uncertainty.sigma, 2.0))
         assert ref.status == "optimal"
-        evaluator = RobustEvaluator(problem, problem.uncertainty, MARGIN, "exact")
-        run = optimize(evaluator.objective, evaluator.constraints, OptimizerSettings())
+        evaluator = RobustEvaluator(system, problem.t, problem.uncertainty, MARGIN, "exact")
+        run = optimize(evaluator, OptimizerSettings())
         dx, df, dg = percent_errors(run, ref)
         assert dx <= 0.1
         assert df <= 0.1
@@ -251,12 +255,13 @@ def test_exact_estimator_lands_on_qp_reference():
 
 def test_objective_nondecreasing_in_kappa():
     problem = tuned_problem(70)
+    system = assemble(problem)
     settings = OptimizerSettings(max_iter=400)
     f_values = []
     for kappa in (0.0, 1.0, 2.0):
         spec = StatisticSpec(constraint_stat="margin", kappa=kappa)
-        evaluator = RobustEvaluator(problem, problem.uncertainty, spec, "exact")
-        run = optimize(evaluator.objective, evaluator.constraints, settings)
+        evaluator = RobustEvaluator(system, problem.t, problem.uncertainty, spec, "exact")
+        run = optimize(evaluator, settings)
         f_values.append(run.f_opt)
     assert f_values[1] >= f_values[0] - 2e-4
     assert f_values[2] >= f_values[1] - 2e-4
@@ -310,7 +315,8 @@ def test_discipline_eval_accounting_with_iterative_mda():
     problem = tuned_problem(7)
     mda = MDASettings(method="jacobi", tol=1e-4, max_iter=30, warm_start=False)
     evaluator = RobustEvaluator(
-        problem, problem.uncertainty, MARGIN, "mc", m=20, seed=0, mda_settings=mda
+        assemble(problem), problem.t, problem.uncertainty, MARGIN, "mc", m=20, seed=0,
+        mda_settings=mda,
     )
     x = np.full(evaluator.system.d, 0.5)
     evaluator.objective(x)

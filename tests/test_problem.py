@@ -420,6 +420,15 @@ def test_deserialize_rejects_bad_inputs(small_config):
     def bad_index(doc):
         doc["C_blocks"][0][0] = "a"
 
+    def set_config(key, value):
+        return lambda doc: doc["config"].update({key: value})
+
+    def set_index(position, value):
+        def corrupt(doc):
+            doc["C_blocks"][0][position] = value
+
+        return corrupt
+
     cases = [
         (non_numeric_a, "a"),
         (lambda doc: doc.update(t="abc"), "t"),
@@ -428,6 +437,18 @@ def test_deserialize_rejects_bad_inputs(small_config):
         (lambda doc: doc.update(D_local=1.0), "D_local"),
         (lambda doc: doc.update(sigma_blocks=1.0), "sigma_blocks"),
         (bad_index, "C_blocks"),
+        # Integers must be JSON integers (no bools, no floats), and numbers
+        # must not be bools; each of these used to load as a coerced value.
+        (set_config("n_disciplines", 2.7), "config.n_disciplines"),
+        (set_config("seed", 70.9), "config.seed"),
+        (set_config("d_local", [2.5, 2]), "config.d_local[0]"),
+        (set_config("d_shared", True), "config.d_shared"),
+        (set_config("coupling_strength", True), "config.coupling_strength"),
+        (set_index(0, 0.9), "C_blocks"),
+        (set_index(1, True), "C_blocks"),
+        (lambda doc: doc.update(version=True), "version"),
+        (lambda doc: doc.update(t=True), "t"),
+        (lambda doc: doc.update(t=10**400), "t"),  # beyond float range
     ]
     for corrupt, field in cases:
         doc = json.loads(payload)
@@ -439,9 +460,9 @@ def test_deserialize_rejects_bad_inputs(small_config):
 
 def test_uncertainty_model_validation():
     with pytest.raises(ValueError):
-        UncertaintyModel("gaussian", (np.array([[1.0, 0.5], [0.0, 1.0]]),))
+        UncertaintyModel((np.array([[1.0, 0.5], [0.0, 1.0]]),))
     with pytest.raises(ValueError):
-        UncertaintyModel("gaussian", (np.array([[1.0, 2.0], [2.0, 1.0]]),))
+        UncertaintyModel((np.array([[1.0, 2.0], [2.0, 1.0]]),))
     model = UncertaintyModel.isotropic((2, 3), 0.1)
     assert model.sigma.shape == (5, 5)
     assert np.allclose(model.sigma, 0.01 * np.eye(5))

@@ -45,7 +45,9 @@ def reference_setup(seed=0, std=0.01):
 
 def taylor_evaluator(problem, spec):
     """The driver's first-order Taylor estimator with an exact coupling solve."""
-    return RobustEvaluator(problem, problem.uncertainty, spec, "taylor", mda_settings=DIRECT)
+    return RobustEvaluator(
+        assemble(problem), problem.t, problem.uncertainty, spec, "taylor", mda_settings=DIRECT
+    )
 
 
 def scalar_sampler(std=1.0):
@@ -173,10 +175,10 @@ def test_mc_failure_accounting_matches_per_row_solves():
     # their own, and estimate from exactly the rows that converge.
     problem = reference_problem(seed=12, std=0.05)
     settings = MDASettings(method="jacobi", tol=1e-8, max_iter=23)
+    system, t = assemble(problem), problem.t
     evaluator = RobustEvaluator(
-        problem, problem.uncertainty, EXPECTATION, "mc", m=200, seed=3, mda_settings=settings
+        system, t, problem.uncertainty, EXPECTATION, "mc", m=200, seed=3, mda_settings=settings
     )
-    system, t = evaluator.system, problem.t
     x = np.full(system.d, 0.5)
     f, g = evaluator.evaluate(x)
 
@@ -197,7 +199,7 @@ def test_mc_failure_accounting_matches_per_row_solves():
     assert np.array_equal(g, mean[1:])
 
     starved = RobustEvaluator(
-        problem, problem.uncertainty, EXPECTATION, "mc", m=200, seed=3,
+        system, t, problem.uncertainty, EXPECTATION, "mc", m=200, seed=3,
         mda_settings=MDASettings(method="jacobi", tol=1e-8, max_iter=1),
     )
     with pytest.raises(NumericalError):
@@ -380,7 +382,7 @@ def test_all_estimators_agree_in_zero_noise_limit():
     mc = mc_estimate(constraint_fn, x, sampler, 10, seed=0)
     # Without noise the margin collapses onto the mean.
     margin = StatisticSpec(constraint_stat="margin", kappa=2.0)
-    taylor = RobustEvaluator(problem, None, margin, "taylor", mda_settings=DIRECT)
+    taylor = RobustEvaluator(system, t, None, margin, "taylor", mda_settings=DIRECT)
     exact = exact_stats(system, t, zero_sigma, x)
     assert np.allclose(mc.mean, exact.constraints.mean, atol=1e-12)
     assert np.allclose(taylor.constraints(x), exact.constraints.mean, atol=1e-12)
@@ -397,7 +399,7 @@ def random_block_covariance(rng, p_coupling, scale=1e-4):
     for p in p_coupling:
         G = rng.standard_normal((p, p))
         blocks.append(scale * (G @ G.T + 0.1 * np.eye(p)))
-    return UncertaintyModel(kind="gaussian", sigma_blocks=tuple(blocks))
+    return UncertaintyModel(sigma_blocks=tuple(blocks))
 
 
 def test_output_covariance_cache_follows_sigma():
