@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .mda import MDASettings, solve_mda
-# Unused here; perfbench's SPAN_POINTS and tests/test_tracer_points.py look
-# ``assemble`` up under ``umdobench.driver``.
+# ``assemble`` and ``exact_stats`` are unused here; perfbench's SPAN_POINTS
+# and tests/test_tracer_points.py look them up under ``umdobench.driver``.
 from .problem import UncertaintyModel, assemble  # noqa: F401
-from .uq import GaussianSampler, composed_value, exact_stats, mc_estimate
+from .uq import GaussianSampler, composed_value, exact_stats, mc_estimate  # noqa: F401
 
 __all__ = [
     "OptimizerSettings",
@@ -107,10 +107,12 @@ class RobustEvaluator:
     :class:`~umdobench.problem.UncertaintyModel` whose ``p_coupling`` matches
     the system's, or None for zero noise.
 
-    The Taylor estimator's propagated standard deviation does not depend on
-    the design point, so it is computed once, when the evaluator is built:
-    its errors (a singular coupling matrix, a negative propagated variance)
-    surface from the constructor rather than from the first evaluation.
+    The ``exact`` and ``taylor`` estimators differ only in the mean-noise
+    outputs (the affine map or a coupling solve). Their propagated std and
+    noise energy do not depend on the design point, so they are computed
+    once, when the evaluator is built: their errors (a singular coupling
+    matrix, a negative propagated variance) surface from the constructor
+    rather than from the first evaluation.
     """
 
     def __init__(self, system, t, sigma, spec, estimator, m=200, seed=0, mda_settings=None):
@@ -132,11 +134,13 @@ class RobustEvaluator:
         self.seed = seed
         self.mda_settings = mda_settings or MDASettings()
         self.sampler = GaussianSampler(model.sigma_blocks)
-        self.sigma = model.sigma
-        if estimator == "taylor":
+        if estimator != "mc":
             # Constraints are linear in the noise with gradient -P', so the
-            # first-order std is exact.
-            self._taylor_std = np.sqrt(np.diag(self.system.output_covariance(self.sigma)))
+            # first-order std is exact. The Taylor objective is the value at
+            # the mean noise and misses the noise energy by design.
+            var = system.output_variance(model.sigma)
+            self._std = np.sqrt(var)
+            self._noise_energy = float(var.sum()) if estimator == "exact" else 0.0
 
         self.n_discipline_evals = 0
         self.n_point_evals = 0
@@ -165,20 +169,18 @@ class RobustEvaluator:
     # -- statistic composition per estimator --------------------------------
 
     def _evaluate_point(self, x):
-        if self.estimator == "exact":
-            stats = exact_stats(self.system, self.t, self.sigma, x, self.spec)
-            self.n_discipline_evals += 1
-            return float(stats.objective.value[0]), stats.constraints.value
-
-        if self.estimator == "taylor":
-            result = solve_mda(self.system, x, settings=self.mda_settings)
-            self.n_discipline_evals += result.iterations + 1
-            y = result.y
+        if self.estimator != "mc":
+            if self.estimator == "exact":
+                alpha, beta, _ = self.system.linear_map
+                y = alpha + beta @ x
+                self.n_discipline_evals += 1
+            else:
+                result = solve_mda(self.system, x, settings=self.mda_settings)
+                self.n_discipline_evals += result.iterations + 1
+                y = result.y
             x0 = x[: self.system.d_shared]
-            # The objective mean is the plain value at the mean noise (the
-            # quadratic noise term is second order).
-            f = float(x0 @ x0 + y @ y)
-            g = composed_value(self.t - y, self._taylor_std, self.spec)
+            f = float(x0 @ x0 + y @ y + self._noise_energy)
+            g = composed_value(self.t - y, self._std, self.spec)
             return f, g
 
         # Warm start every realization from the mean-noise solution at this

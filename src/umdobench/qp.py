@@ -8,10 +8,12 @@ deterministic problem into a box-constrained convex QP
 with Q = 2(Qx0 + beta'beta), c = 2 beta'alpha, d0 = alpha'alpha, A = -beta
 and b = alpha - t. The robust variants keep Q, c and A and only move the
 right-hand side: the margin statistic subtracts kappa standard deviations of
-each coupling output, the probability statistic adds the epsilon-quantile of
-the propagated noise. Both add the expected quadratic noise energy
-trace(P'P Sigma) to the objective constant so that reported optima are
-comparable with sampled estimates of the robust objective.
+each coupling output, the probability statistic adds the Gaussian
+epsilon-quantile of the propagated noise. Both add the expected quadratic
+noise energy trace(P'P Sigma) to the objective constant so that reported
+optima are comparable with sampled estimates of the robust objective. Both
+read the noise only through the propagated variances diag(P Sigma P') of
+:meth:`~umdobench.problem.BlockSystem.output_variance`.
 
 Solutions come from a dense primal-dual path-following interior-point method
 (predictor-corrector), giving reference optima certified by their KKT
@@ -141,10 +143,10 @@ def reduce_margin(system, t: float, sigma, kappa: float) -> QPData:
     The constraint right-hand side tightens by kappa propagated standard
     deviations per coupling output; the objective constant grows by the
     expected quadratic noise energy trace(P'P Sigma). Both come from
-    :meth:`~umdobench.problem.BlockSystem.output_covariance`.
+    :meth:`~umdobench.problem.BlockSystem.output_variance`.
     """
     base = reduce_deterministic(system, t)
-    var = np.diag(system.output_covariance(sigma))
+    var = system.output_variance(sigma)
     return QPData(
         Q=base.Q,
         c=base.c,
@@ -156,54 +158,28 @@ def reduce_margin(system, t: float, sigma, kappa: float) -> QPData:
     )
 
 
-def reduce_probability(
-    system,
-    t: float,
-    epsilon: float,
-    sigma=None,
-    dist: str = "gaussian",
-    sample=None,
-) -> QPData:
-    """Reduce the chance-constrained robust problem.
+def reduce_probability(system, t: float, epsilon: float, sigma=None) -> QPData:
+    """Reduce the Gaussian chance-constrained robust problem.
 
     Componentwise semantics: constraint row j becomes
     ``(A x - b)_j <= q_epsilon_j`` with q the epsilon-quantile of the j-th
-    propagated noise component. For ``dist="gaussian"`` the quantile comes
-    from the closed form ``sqrt(diag(P Sigma P')) * z_epsilon``; for
-    ``dist="empirical"`` it is the per-component empirical quantile of the
-    propagated rows of ``sample``. The objective constant grows by the
-    expected quadratic noise energy (exact trace for the Gaussian path,
-    sample mean for the empirical path).
+    propagated noise component, ``sqrt(diag(P Sigma P')) * z_epsilon``. The
+    objective constant grows by the expected quadratic noise energy
+    trace(P'P Sigma). Both come from
+    :meth:`~umdobench.problem.BlockSystem.output_variance`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    if sigma is None:
+        raise ValueError("the probability reduction needs a covariance")
     base = reduce_deterministic(system, t)
-
-    if dist == "gaussian":
-        if sigma is None:
-            raise ValueError("gaussian reduction needs a covariance")
-        var = np.diag(system.output_covariance(sigma))
-        q = np.sqrt(var) * scipy.special.ndtri(epsilon)
-        noise_energy = float(var.sum())
-    elif dist == "empirical":
-        if sample is None:
-            raise ValueError("empirical reduction needs a noise sample")
-        sample = np.asarray(sample, dtype=float)
-        if sample.ndim != 2 or sample.shape[1] != system.p:
-            raise ValueError(f"sample must have shape (n, {system.p})")
-        _, _, P = system.linear_map
-        propagated = sample @ P.T
-        q = np.quantile(propagated, epsilon, axis=0)
-        noise_energy = float(np.mean(np.sum(propagated ** 2, axis=1)))
-    else:
-        raise ValueError(f"dist must be 'gaussian' or 'empirical', got {dist!r}")
-
+    var = system.output_variance(sigma)
     return QPData(
         Q=base.Q,
         c=base.c,
-        d0=base.d0 + noise_energy,
+        d0=base.d0 + float(var.sum()),
         A=base.A,
-        b=base.b + q,
+        b=base.b + np.sqrt(var) * scipy.special.ndtri(epsilon),
         lower=base.lower,
         upper=base.upper,
     )

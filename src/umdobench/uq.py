@@ -12,10 +12,10 @@ Two estimators of the objective/constraint statistics are provided here:
   when benchmarking the sampled and Taylor estimators.
 
 The first-order Taylor estimator (one coupling solve at the mean noise plus
-the propagated standard deviation) is the ``"taylor"`` path of
-:class:`~umdobench.driver.RobustEvaluator`. Both it and :func:`exact_stats`
-read the noise through
-:meth:`~umdobench.problem.BlockSystem.output_covariance`.
+the propagated standard deviation) and the closed-form ``"exact"``
+estimator are paths of :class:`~umdobench.driver.RobustEvaluator`. They,
+:func:`exact_stats` and the QP reductions read the noise through one
+function, :meth:`~umdobench.problem.BlockSystem.output_variance`.
 """
 
 from __future__ import annotations
@@ -191,22 +191,24 @@ def exact_stats(system, t: float, sigma, x, spec: StatisticSpec | None = None) -
     quadratic noise energy ``trace(P Sigma P')`` and its variance the usual
     linear-plus-quadratic Gaussian form; the constraint values ``t - y`` are
     Gaussian with mean ``Ax - b`` and standard deviation
-    ``sqrt(diag(P Sigma P'))``. Serves as the ground-truth oracle for
-    benchmarking the sampled estimators.
+    ``sqrt(diag(P Sigma P'))``. Only the objective std needs the full
+    covariance ``P Sigma P'``; everything else reads
+    :meth:`~umdobench.problem.BlockSystem.output_variance`. Serves as the
+    ground-truth oracle for benchmarking the sampled estimators.
     """
     x = np.asarray(x, dtype=float)
-    alpha, beta, _ = system.linear_map
+    alpha, beta, P = system.linear_map
     y_mean = alpha + beta @ x
     x_shared = x[: system.d_shared]
 
-    cov = system.output_covariance(sigma)
-    var_cons = np.diag(cov)
+    var_cons = system.output_variance(sigma)
     std_cons = np.sqrt(var_cons)
     noise_energy = float(var_cons.sum())
 
     obj_mean = float(x_shared @ x_shared + y_mean @ y_mean + noise_energy)
     # Gaussian variance of |y_mean + PU|^2: linear term 4 y_mean' cov y_mean
     # plus quadratic term 2 tr(cov^2) = 2 |cov|_F^2.
+    cov = P @ np.asarray(sigma, dtype=float) @ P.T
     obj_var = float(4.0 * y_mean @ cov @ y_mean + 2.0 * np.vdot(cov, cov))
     obj_std = math.sqrt(max(obj_var, 0.0))
 

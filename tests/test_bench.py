@@ -169,11 +169,11 @@ def test_per_run_failures_recorded_not_fatal(monkeypatch):
 
 def test_one_assembly_per_benchmark(monkeypatch):
     # The reference QP and every run read one assembled system, so the
-    # assembly, the linear map and the output covariance of the noise are
-    # each computed once, whatever the estimators and repetitions.
+    # assembly and the linear map are each computed once, whatever the
+    # estimators and repetitions. The propagated variance is computed by the
+    # reference and once per exact or Taylor run, never per design point.
     problem = default_benchmark_problem(70)
-    calls = {"assemble": 0, "linear_map": 0}
-    covariances = []
+    calls = {"assemble": 0, "linear_map": 0, "output_variance": 0}
 
     real_assemble = problem_mod.assemble
 
@@ -194,19 +194,17 @@ def test_one_assembly_per_benchmark(monkeypatch):
     counted_property.__set_name__(BlockSystem, "linear_map")
     monkeypatch.setattr(BlockSystem, "linear_map", counted_property)
 
-    real_covariance = BlockSystem.output_covariance
+    real_variance = BlockSystem.output_variance
 
-    def counted_covariance(self, sigma):
-        cov = real_covariance(self, sigma)
-        covariances.append(cov)  # keeps each result alive, so ids stay unique
-        return cov
+    def counted_variance(self, sigma):
+        calls["output_variance"] += 1
+        return real_variance(self, sigma)
 
-    monkeypatch.setattr(BlockSystem, "output_covariance", counted_covariance)
+    monkeypatch.setattr(BlockSystem, "output_variance", counted_variance)
     report = run_benchmark(problem, ("mc:20", "taylor", "exact"), repetitions=2, workers=1)
     assert not report.failures and len(report.runs) == 4
-    assert calls == {"assemble": 1, "linear_map": 1}
-    # A cache hit returns the stored array, so distinct arrays are computations.
-    assert len({id(cov) for cov in covariances}) == 1
+    # 1 for the reference + 1 for each of the two deterministic runs.
+    assert calls == {"assemble": 1, "linear_map": 1, "output_variance": 3}
 
 
 def test_probability_statistic_is_rejected():

@@ -169,6 +169,18 @@ def test_non_integer_field_exits_4_without_traceback(problem_path, tmp_path, cap
     assert "Traceback" not in err
 
 
+def test_non_finite_field_exits_4_without_traceback(problem_path, tmp_path, capsys):
+    doc = json.loads(problem_path.read_bytes())
+    doc["t"] = float("nan")
+    bad = tmp_path / "nan_t.json"
+    bad.write_text(json.dumps(doc))  # written as the token NaN
+    assert main(["solve-ref", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "field: t" in err
+    assert "Traceback" not in err
+
+
 def test_missing_problem_file_exits_4(tmp_path, capsys):
     assert main(["solve-ref", str(tmp_path / "absent.json")]) == 4
 

@@ -117,21 +117,46 @@ def test_taylor_with_protocol_mda_stays_within_tolerance():
 
 
 def test_taylor_std_is_computed_once_at_construction(monkeypatch):
+    # The exact and Taylor noise constants do not depend on x: one
+    # output_variance call per evaluator, none per design point.
     calls = []
-    original = BlockSystem.output_covariance
+    original = BlockSystem.output_variance
 
     def counted(self, sigma):
         calls.append(1)
         return original(self, sigma)
 
-    monkeypatch.setattr(BlockSystem, "output_covariance", counted)
+    monkeypatch.setattr(BlockSystem, "output_variance", counted)
     problem = tuned_problem(2)
-    evaluator = RobustEvaluator(assemble(problem), problem.t, problem.uncertainty, MARGIN, "taylor")
-    assert len(calls) == 1
     rng = np.random.default_rng(5)
-    for _ in range(4):
-        evaluator.constraints(rng.random(problem.config.d))
-    assert len(calls) == 1
+    for estimator in ("taylor", "exact"):
+        calls.clear()
+        evaluator = RobustEvaluator(
+            assemble(problem), problem.t, problem.uncertainty, MARGIN, estimator
+        )
+        assert len(calls) == 1
+        for _ in range(4):
+            evaluator.constraints(rng.random(problem.config.d))
+        assert evaluator.n_point_evals == 4
+        assert len(calls) == 1
+
+
+def test_exact_evaluator_is_bitwise_exact_stats():
+    # The exact estimator shares the Taylor branch but must give the oracle's
+    # objective mean and composed constraints to the last bit.
+    problem = tuned_problem(6)
+    system = assemble(problem)
+    rng = np.random.default_rng(6)
+    points = [rng.random(system.d) for _ in range(5)]
+    for sigma in (problem.uncertainty, None):
+        sigma_matrix = np.zeros((system.p, system.p)) if sigma is None else sigma.sigma
+        for spec in (MARGIN, StatisticSpec(constraint_stat="expectation")):
+            evaluator = RobustEvaluator(system, problem.t, sigma, spec, "exact")
+            for x in points:
+                f, g = evaluator.evaluate(x)
+                stats = exact_stats(system, problem.t, sigma_matrix, x, spec)
+                assert f == stats.objective.value[0]
+                assert np.array_equal(g, stats.constraints.value)
 
 
 def test_mc_functions_near_exact_at_midpoint():

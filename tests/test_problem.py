@@ -429,6 +429,18 @@ def test_deserialize_rejects_bad_inputs(small_config):
 
         return corrupt
 
+    def infinite_a(doc):
+        doc["a"][0] = float("inf")
+
+    def infinite_c_block(doc):
+        assert doc["C_blocks"][0][:2] == [0, 1]
+        doc["C_blocks"][0][2][0][0] = -float("inf")
+
+    def nan_sigma_block(doc):
+        blocks = [np.eye(p).tolist() for p in doc["config"]["p_coupling"]]
+        blocks[0][0][0] = float("nan")
+        doc["sigma_blocks"] = blocks
+
     cases = [
         (non_numeric_a, "a"),
         (lambda doc: doc.update(t="abc"), "t"),
@@ -449,6 +461,11 @@ def test_deserialize_rejects_bad_inputs(small_config):
         (lambda doc: doc.update(version=True), "version"),
         (lambda doc: doc.update(t=True), "t"),
         (lambda doc: doc.update(t=10**400), "t"),  # beyond float range
+        # json reads NaN and Infinity, which serialize never writes.
+        (lambda doc: doc.update(t=float("nan")), "t"),
+        (infinite_a, "a"),
+        (infinite_c_block, "C_blocks[0,1]"),
+        (nan_sigma_block, "sigma_blocks[0]"),
     ]
     for corrupt, field in cases:
         doc = json.loads(payload)

@@ -278,7 +278,7 @@ def test_taylor_objective_misses_quadratic_shift():
     taylor = taylor_evaluator(problem, EXPECTATION)
     exact = exact_stats(system, problem.t, sigma, x)
     shift = float(np.trace(P.T @ P @ sigma))
-    assert shift == pytest.approx(float(np.trace(system.output_covariance(sigma))), rel=1e-12)
+    assert shift == pytest.approx(float(system.output_variance(sigma).sum()), rel=1e-12)
     gap = exact.objective.mean[0] - taylor.objective(x)
     assert gap == pytest.approx(shift, rel=1e-10)
 
@@ -390,7 +390,7 @@ def test_all_estimators_agree_in_zero_noise_limit():
     assert np.allclose(mc.std, 0.0, atol=1e-12)
 
 
-# --- one propagated-noise covariance feeds every closed form --------------------
+# --- one propagated variance feeds every closed form ----------------------------
 
 
 def random_block_covariance(rng, p_coupling, scale=1e-4):
@@ -402,9 +402,9 @@ def random_block_covariance(rng, p_coupling, scale=1e-4):
     return UncertaintyModel(sigma_blocks=tuple(blocks))
 
 
-def test_output_covariance_cache_follows_sigma():
+def test_output_variance_follows_sigma():
     # One system queried with Sigma_1, Sigma_2, Sigma_1 must answer exactly
-    # like a fresh system each time, for the covariance and its consumers.
+    # like a fresh system each time, for the variances and their consumers.
     problem = reference_problem(seed=10)
     shared = assemble(problem)
     rng = np.random.default_rng(5)
@@ -413,7 +413,7 @@ def test_output_covariance_cache_follows_sigma():
     x = rng.random(shared.d)
     for sigma in (sigma_1, sigma_2, sigma_1):
         fresh = assemble(problem)
-        assert np.array_equal(shared.output_covariance(sigma), fresh.output_covariance(sigma))
+        assert np.array_equal(shared.output_variance(sigma), fresh.output_variance(sigma))
         got = reduce_margin(shared, problem.t, sigma, 2.0)
         want = reduce_margin(assemble(problem), problem.t, sigma, 2.0)
         assert np.array_equal(got.b, want.b)
@@ -426,26 +426,34 @@ def test_output_covariance_cache_follows_sigma():
 
     # Mutating the caller's array in place is seen on the next call.
     sigma = sigma_1.copy()
-    before = np.array(shared.output_covariance(sigma))
+    before = shared.output_variance(sigma)
     sigma *= 4.0
-    assert np.allclose(shared.output_covariance(sigma), 4.0 * before, rtol=1e-12, atol=0.0)
+    assert np.allclose(shared.output_variance(sigma), 4.0 * before, rtol=1e-12, atol=0.0)
 
 
-def test_output_covariance_contract():
+def test_output_variance_contract():
     system, _, _, sigma = reference_setup(seed=11)
-    cov = system.output_covariance(sigma)
     _, _, P = system.linear_map
-    assert np.array_equal(cov, P @ sigma @ P.T)
-    with pytest.raises(ValueError):
-        cov[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        system.output_covariance(np.eye(system.p + 1))
+    rng = np.random.default_rng(11)
+    for cov in (sigma, random_block_covariance(rng, system.p_coupling).sigma):
+        var = system.output_variance(cov)
+        want = np.diag(P @ cov @ P.T)
+        assert var.shape == (system.p,)
+        assert np.all(np.abs(var - want) <= 1e-14 * want)
+    with pytest.raises(ValueError, match="shape"):
+        system.output_variance(np.eye(system.p + 1))
     asymmetric = np.eye(system.p)
     asymmetric[0, 1] = 1e-3
-    with pytest.raises(ValueError):
-        system.output_covariance(asymmetric)
+    with pytest.raises(ValueError, match="symmetric"):
+        system.output_variance(asymmetric)
+    # A correlation across two coupling blocks would be ignored by the
+    # block-wise sum, so it is refused.
+    cross = np.eye(system.p)
+    cross[0, 3] = cross[3, 0] = 1e-3
+    with pytest.raises(ValueError, match="off the coupling blocks"):
+        system.output_variance(cross)
     with pytest.raises(NumericalError):
-        system.output_covariance(-np.eye(system.p))
+        system.output_variance(-np.eye(system.p))
 
 
 @pytest.mark.parametrize("coupling_strength", [0.2, 0.5, 0.9])
