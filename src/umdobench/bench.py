@@ -70,9 +70,6 @@ def default_benchmark_problem(seed: int = 70, sigma_std: float = 0.01):
 
     One shared and two local design variables with three coupling outputs per
     discipline, feasibility level one half, isotropic Gaussian coupling noise.
-    The default seed is one on which the derivative-free optimizer reaches
-    the QP reference within its default evaluation budget; arbitrary seeds
-    may need a larger budget.
     """
     config = ProblemConfig(
         n_disciplines=2,
@@ -416,10 +413,9 @@ def run_benchmark(
             "epsilon": spec.epsilon,
         },
         optimizer={
+            "method": "SLSQP",
             "max_iter": optimizer.max_iter,
             "g_tol": optimizer.g_tol,
-            "initial_trust_radius": optimizer.initial_trust_radius,
-            "final_trust_radius": optimizer.final_trust_radius,
             "x0": None if optimizer.x0 is None else [float(v) for v in optimizer.x0],
         },
         mda={

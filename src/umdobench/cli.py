@@ -207,6 +207,7 @@ def cmd_solve_mdf(args) -> int:
             "n_discipline_evals": int(run.n_discipline_evals),
             "n_optimizer_iters": int(run.n_optimizer_iters),
             "converged": bool(run.converged),
+            "message": run.message,
             "estimator": run.estimator,
             "wall_time": float(run.wall_time),
         },
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_statistic_flags(p, ("none", "margin"), "margin")
     _add_sigma_flag(p)
     p.add_argument("--seed", type=int, default=1000, help="sampler seed")
-    p.add_argument("--max-iter", type=int, default=100, help="objective evaluation budget")
+    p.add_argument("--max-iter", type=int, default=100, help="optimizer iteration budget")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve_mdf)
 
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_statistic_flags(p, ("none", "margin"), "margin")
     _add_sigma_flag(p)
     p.add_argument("--seed", type=int, default=1000, help="base sampler seed; repetition r uses seed + r")
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=int, default=100, help="optimizer iteration budget")
     p.add_argument("--workers", type=int, default=None, help="process pool size (default: UMDO_BENCH_THREADS or 1)")
     p.add_argument("--out", default=None, help="report base path; writes <base>.json and <base>.csv")
     p.set_defaults(func=cmd_benchmark)

@@ -158,7 +158,7 @@ def reduce_margin(system, t: float, sigma, kappa: float) -> QPData:
     )
 
 
-def reduce_probability(system, t: float, epsilon: float, sigma=None) -> QPData:
+def reduce_probability(system, t: float, epsilon: float, sigma) -> QPData:
     """Reduce the Gaussian chance-constrained robust problem.
 
     Componentwise semantics: constraint row j becomes
@@ -170,8 +170,6 @@ def reduce_probability(system, t: float, epsilon: float, sigma=None) -> QPData:
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if sigma is None:
-        raise ValueError("the probability reduction needs a covariance")
     base = reduce_deterministic(system, t)
     var = system.output_variance(sigma)
     return QPData(

@@ -263,7 +263,7 @@ def test_report_echoes_settings(report):
     assert payload["config"]["seed"] == 70
     assert payload["statistic"]["constraint_stat"] == "margin"
     assert payload["statistic"]["kappa"] == 2.0
-    assert payload["optimizer"]["max_iter"] == 40
+    assert payload["optimizer"] == {"method": "SLSQP", "max_iter": 40, "g_tol": 1e-4, "x0": None}
     assert payload["mda"]["method"] == "direct"
     assert payload["reference"]["status"] == "optimal"
     assert len(payload["problem_digest"]) == 64

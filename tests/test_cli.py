@@ -221,6 +221,7 @@ def test_solve_mdf_exact_reaches_margin_reference(problem_path, capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True
+    assert isinstance(payload["message"], str) and payload["message"]
     assert payload["estimator"] == "exact"
     assert payload["n_discipline_evals"] > 0
     problem = load(problem_path)

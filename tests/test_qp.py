@@ -181,7 +181,7 @@ def test_probability_argument_validation():
     for eps in (0.0, 1.0, -0.1, 1.7):
         with pytest.raises(ValueError):
             reduce_probability(system, 0.0, epsilon=eps, sigma=np.eye(system.p))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         reduce_probability(system, 0.0, epsilon=0.1)
 
 
