@@ -26,6 +26,8 @@ import numpy as np
 import scipy
 
 from .driver import (
+    _DEFAULT_M,
+    _ESTIMATORS,
     OptimizerSettings,
     RobustEvaluator,
     _noise_model,
@@ -62,8 +64,6 @@ THREADS_ENV = "UMDO_BENCH_THREADS"
 
 CSV_COLUMNS = ("estimator", "rep", "dx_pct", "df_pct", "dg_pct", "n_evals", "wall_s")
 
-_ESTIMATOR_KINDS = ("mc", "taylor", "exact")
-
 
 def default_benchmark_problem(seed: int = 70, sigma_std: float = 0.01):
     """Two-discipline tuned instance used by the demos and the CLI examples.
@@ -92,11 +92,11 @@ def parse_estimator(label: str) -> tuple[str, int | None]:
     """
     kind, _, arg = label.strip().partition(":")
     kind = kind.strip().lower()
-    if kind not in _ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator {label!r}; expected one of {_ESTIMATOR_KINDS}")
+    if kind not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator {label!r}; expected one of {_ESTIMATORS}")
     if kind == "mc":
         try:
-            m = int(arg) if arg else 200
+            m = int(arg) if arg else _DEFAULT_M
         except ValueError:
             raise ValueError(f"bad sample size in estimator label {label!r}") from None
         if m < 2:
@@ -105,6 +105,20 @@ def parse_estimator(label: str) -> tuple[str, int | None]:
     if arg:
         raise ValueError(f"estimator {kind!r} takes no sample size")
     return kind, None
+
+
+def _parse_estimators(labels) -> list[tuple[str, str, int | None]]:
+    """``(label, kind, m)`` per label; raises ValueError when there are none
+    or when two labels name the same estimator (``"mc"`` and ``"mc:200"``)."""
+    parsed = [(label, *parse_estimator(label)) for label in labels]
+    if not parsed:
+        raise ValueError("estimators must not be empty")
+    seen = {}
+    for label, kind, m in parsed:
+        if (kind, m) in seen:
+            raise ValueError(f"estimators {seen[kind, m]!r} and {label!r} are the same")
+        seen[kind, m] = label
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -242,7 +256,7 @@ def _execute_run(task: _RunTask):
             task.sigma,
             task.spec,
             task.kind,
-            m=task.m if task.m is not None else 200,
+            m=task.m,
             seed=task.seed,
             mda_settings=task.mda_settings,
         )
@@ -312,8 +326,9 @@ def run_benchmark(
     """Score every estimator against the reference solution of ``problem``.
 
     ``estimators`` is a sequence of labels (``"mc:200"``, ``"taylor"``,
-    ``"exact"``). Sampling estimators run ``repetitions`` times with sampler
-    seeds ``base_seed + rep``; deterministic estimators run once. ``sigma``
+    ``"exact"``), no two naming the same estimator. Sampling estimators run
+    ``repetitions`` times with sampler seeds ``base_seed + rep``;
+    deterministic estimators run once. ``sigma``
     is an :class:`~umdobench.problem.UncertaintyModel` whose ``p_coupling``
     matches the problem's, or None for the model stored on the problem (zero
     noise if the problem has none). The reference QP and every run read one
@@ -324,24 +339,17 @@ def run_benchmark(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     spec = spec if spec is not None else StatisticSpec(constraint_stat="margin", kappa=2.0)
-    if spec.constraint_stat == "probability":
-        raise ValueError(
-            "probability-constrained runs are reference-only and cannot be benchmarked"
-        )
     optimizer = optimizer if optimizer is not None else OptimizerSettings()
     model = _noise_model(
         problem.config.p_coupling, sigma if sigma is not None else problem.uncertainty
     )
 
-    parsed = [(label, *parse_estimator(label)) for label in estimators]
-    if not parsed:
-        raise ValueError("estimators must not be empty")
+    parsed = _parse_estimators(estimators)
 
     system = assemble(problem)
-    # kappa = 0 keeps the constraint rows of the expectation statistic while
-    # still carrying the noise-energy constant in the objective.
-    kappa = spec.kappa if spec.constraint_stat == "margin" else 0.0
-    reference = solve_qp(reduce_margin(system, problem.t, model.sigma, kappa))
+    # The expectation's kappa is 0: its constraint rows, with the noise-energy
+    # constant still in the objective.
+    reference = solve_qp(reduce_margin(system, problem.t, model.sigma, spec.kappa))
     if reference.status == "infeasible":
         raise InfeasibleReferenceError(
             "the reference QP is infeasible; relax the statistic or retune the threshold"
@@ -407,11 +415,7 @@ def run_benchmark(
             "seed": problem.config.seed,
         },
         t=float(problem.t),
-        statistic={
-            "constraint_stat": spec.constraint_stat,
-            "kappa": spec.kappa,
-            "epsilon": spec.epsilon,
-        },
+        statistic={"constraint_stat": spec.constraint_stat, "kappa": spec.kappa},
         optimizer={
             "method": "SLSQP",
             "max_iter": optimizer.max_iter,

@@ -18,11 +18,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bench import _resolve_workers, parse_estimator, report_to_json, run_benchmark, write_report
-from .driver import OptimizerSettings, RobustEvaluator, optimize
+from .bench import (
+    _parse_estimators,
+    _resolve_workers,
+    parse_estimator,
+    report_to_json,
+    run_benchmark,
+    write_report,
+)
+from .driver import OptimizerSettings, RobustEvaluator, _noise_model, optimize
 from .errors import InfeasibleReferenceError, UmdoBenchError
 from .problem import (
     ProblemConfig,
@@ -82,8 +87,7 @@ def _statistic_spec(statistic: str, kappa: float) -> StatisticSpec:
 
 def _reduce_reference(problem, statistic: str, kappa: float, epsilon: float | None, std: float | None):
     system = assemble(problem)
-    model = _sigma_model(problem, std)
-    sigma = model.sigma if model is not None else np.zeros((system.p, system.p))
+    sigma = _noise_model(system.p_coupling, _sigma_model(problem, std)).sigma
     if statistic == "none":
         return reduce_deterministic(system, problem.t)
     if statistic == "margin":
@@ -193,7 +197,7 @@ def cmd_solve_mdf(args) -> int:
             _sigma_model(problem, args.sigma),
             spec,
             kind,
-            m=m if m is not None else 200,
+            m=m,
             seed=args.seed,
         )
     except ValueError as exc:
@@ -222,8 +226,7 @@ def cmd_benchmark(args) -> int:
         labels = tuple(part.strip() for part in args.estimators.split(",") if part.strip())
         if not labels:
             raise ValueError("--estimators must name at least one estimator")
-        for label in labels:
-            parse_estimator(label)
+        _parse_estimators(labels)
         if args.repetitions < 1:
             raise ValueError("--repetitions must be >= 1")
         _resolve_workers(args.workers, len(labels))

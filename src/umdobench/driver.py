@@ -39,7 +39,10 @@ __all__ = [
     "percent_errors",
 ]
 
+# The estimator kinds, and the sample size of ``mc`` when a label or caller
+# gives none.
 _ESTIMATORS = ("mc", "taylor", "exact")
+_DEFAULT_M = 200
 
 # SLSQP's stopping tolerance on the objective change. It can be this tight
 # because the gradients are analytic: runs on the benchmark problems stop
@@ -100,7 +103,8 @@ class RobustEvaluator:
     discipline-evaluation counter (one unit = one sweep of all disciplines,
     i.e. one fixed-point iteration or one direct solve, counted per
     realization) and the dropped-realization counter. A Monte-Carlo design
-    point costs one block coupling solve over all ``m`` realizations.
+    point costs one block coupling solve over all ``m`` realizations; the
+    deterministic estimators ignore ``m``.
 
     No solver state is carried between design points: every coupling solve
     starts from an iterate computed at the same point, so each evaluation is
@@ -121,14 +125,9 @@ class RobustEvaluator:
     rather than from the first evaluation.
     """
 
-    def __init__(self, system, t, sigma, spec, estimator, m=200, seed=0, mda_settings=None):
+    def __init__(self, system, t, sigma, spec, estimator, m=_DEFAULT_M, seed=0, mda_settings=None):
         if estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-        if spec.constraint_stat == "probability":
-            raise ValueError(
-                "probability-constrained runs are reference-only; solve them "
-                "through the chance-constrained QP reduction"
-            )
         if estimator == "mc" and m < 2:
             raise ValueError("mc estimator needs m >= 2")
         model = _noise_model(system.p_coupling, sigma)
@@ -204,7 +203,6 @@ class RobustEvaluator:
             self.sampler,
             self.m,
             self.seed,
-            spec=None,
         )
         self.n_failed_samples += est.n_failed
         f = float(est.mean[0])

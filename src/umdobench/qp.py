@@ -7,13 +7,15 @@ deterministic problem into a box-constrained convex QP
 
 with Q = 2(Qx0 + beta'beta), c = 2 beta'alpha, d0 = alpha'alpha, A = -beta
 and b = alpha - t. The robust variants keep Q, c and A and only move the
-right-hand side: the margin statistic subtracts kappa standard deviations of
-each coupling output, the probability statistic adds the Gaussian
-epsilon-quantile of the propagated noise. Both add the expected quadratic
-noise energy trace(P'P Sigma) to the objective constant so that reported
-optima are comparable with sampled estimates of the robust objective. Both
-read the noise only through the propagated variances diag(P Sigma P') of
-:meth:`~umdobench.problem.BlockSystem.output_variance`.
+right-hand side by kappa propagated standard deviations of each coupling
+output (:func:`reduce_margin`): kappa = 0 for the expectation, the margin
+width for the margin, and kappa = -Phi^-1(epsilon) for the Gaussian chance
+constraint at level epsilon (:func:`reduce_probability`). The shift reads
+the noise only through the propagated variances diag(P Sigma P') of
+:meth:`~umdobench.problem.BlockSystem.output_variance`, and it adds the
+expected quadratic noise energy trace(P'P Sigma) to the objective constant
+so that reported optima are comparable with sampled estimates of the robust
+objective.
 
 Solutions come from a dense primal-dual path-following interior-point method
 (predictor-corrector), giving reference optima certified by their KKT
@@ -143,8 +145,11 @@ def reduce_margin(system, t: float, sigma, kappa: float) -> QPData:
     The constraint right-hand side tightens by kappa propagated standard
     deviations per coupling output; the objective constant grows by the
     expected quadratic noise energy trace(P'P Sigma). Both come from
-    :meth:`~umdobench.problem.BlockSystem.output_variance`.
+    :meth:`~umdobench.problem.BlockSystem.output_variance`. A non-finite
+    ``kappa`` raises ValueError.
     """
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa!r}")
     base = reduce_deterministic(system, t)
     var = system.output_variance(sigma)
     return QPData(
@@ -163,24 +168,13 @@ def reduce_probability(system, t: float, epsilon: float, sigma) -> QPData:
 
     Componentwise semantics: constraint row j becomes
     ``(A x - b)_j <= q_epsilon_j`` with q the epsilon-quantile of the j-th
-    propagated noise component, ``sqrt(diag(P Sigma P')) * z_epsilon``. The
-    objective constant grows by the expected quadratic noise energy
-    trace(P'P Sigma). Both come from
-    :meth:`~umdobench.problem.BlockSystem.output_variance`.
+    propagated noise component, ``sqrt(diag(P Sigma P')) * z_epsilon``. That
+    is the margin at ``kappa = -z_epsilon``, so this is
+    :func:`reduce_margin` at that kappa, bit for bit.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    base = reduce_deterministic(system, t)
-    var = system.output_variance(sigma)
-    return QPData(
-        Q=base.Q,
-        c=base.c,
-        d0=base.d0 + float(var.sum()),
-        A=base.A,
-        b=base.b + np.sqrt(var) * scipy.special.ndtri(epsilon),
-        lower=base.lower,
-        upper=base.upper,
-    )
+    return reduce_margin(system, t, sigma, -scipy.special.ndtri(epsilon))
 
 
 def check_positive_definite(qp: QPData) -> tuple[bool, float]:

@@ -16,6 +16,11 @@ the propagated standard deviation) and the closed-form ``"exact"``
 estimator are paths of :class:`~umdobench.driver.RobustEvaluator`. They,
 :func:`exact_stats` and the QP reductions read the noise through one
 function, :meth:`~umdobench.problem.BlockSystem.output_variance`.
+
+Every constraint statistic is one expression, ``mean + kappa * std``
+(:func:`composed_value`): ``kappa = 0`` for the expectation and the margin
+width for the margin. The Gaussian chance constraint is the same shift at
+``kappa = -Phi^-1(epsilon)`` and exists only as a reference QP.
 """
 
 from __future__ import annotations
@@ -37,21 +42,23 @@ __all__ = [
     "exact_stats",
 ]
 
-_CONSTRAINT_STATS = ("expectation", "margin", "probability")
+_CONSTRAINT_STATS = ("expectation", "margin")
 
 
 @dataclass(frozen=True)
 class StatisticSpec:
-    """Which statistic the robust formulation applies to each output.
+    """Which statistic the robust formulation applies to each constraint.
 
-    The objective always uses the expectation. Constraints use the
-    expectation, the margin ``mean + kappa * std`` or the probability of
-    violation at level ``epsilon``.
+    The objective always uses the expectation. Each constraint uses
+    ``mean + kappa * std``: the margin with a finite ``kappa``, or the
+    expectation, for which ``kappa`` is set to 0. The Gaussian chance
+    constraint at level epsilon is the same shift with
+    ``kappa = -Phi^-1(epsilon)``; it exists only as a reference QP
+    (:func:`~umdobench.qp.reduce_probability`), so it is not a statistic here.
     """
 
     constraint_stat: str = "margin"
     kappa: float = 2.0
-    epsilon: float | None = None
 
     def __post_init__(self):
         if self.constraint_stat not in _CONSTRAINT_STATS:
@@ -59,29 +66,25 @@ class StatisticSpec:
                 f"constraint_stat must be one of {_CONSTRAINT_STATS}, "
                 f"got {self.constraint_stat!r}"
             )
-        if self.constraint_stat == "margin" and not math.isfinite(self.kappa):
+        if self.constraint_stat == "expectation":
+            object.__setattr__(self, "kappa", 0.0)
+        elif not math.isfinite(self.kappa):
             raise ValueError("margin statistic needs a finite kappa")
-        if self.constraint_stat == "probability":
-            if self.epsilon is None or not 0.0 < self.epsilon < 1.0:
-                raise ValueError("probability statistic needs epsilon in (0, 1)")
 
 
 @dataclass
 class StatEstimate:
     """Mean/std estimate of a vector output plus the composed statistic.
 
-    ``value`` is the statistic requested by the caller's
-    :class:`StatisticSpec` (the mean by default, ``mean + kappa * std`` for
-    the margin). ``n_evals`` counts underlying discipline evaluations and
-    ``n_failed`` the Monte-Carlo realizations dropped because their coupling
-    solve did not converge.
+    ``value`` is the statistic the caller asked for (the mean by default,
+    ``mean + kappa * std`` under a :class:`StatisticSpec`). ``n_failed``
+    counts the Monte-Carlo realizations dropped because their coupling solve
+    did not converge.
     """
 
     mean: np.ndarray
     std: np.ndarray
     value: np.ndarray
-    n_evals: int
-    estimator: str
     n_failed: int = 0
 
     def __post_init__(self):
@@ -90,8 +93,6 @@ class StatEstimate:
         self.value = np.atleast_1d(np.asarray(self.value, dtype=float))
         if np.any(self.std < 0):
             raise ValueError("std must be nonnegative")
-        if self.n_evals < 1:
-            raise ValueError("n_evals must be >= 1")
 
 
 @dataclass
@@ -103,16 +104,11 @@ class ExactStats:
 
 
 def composed_value(mean, std, spec: StatisticSpec | None) -> np.ndarray:
-    """Compose mean/std into the requested constraint statistic."""
+    """The constraint statistic ``mean + kappa * std``; None means the
+    expectation (``kappa = 0``)."""
+    kappa = 0.0 if spec is None else spec.kappa
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if spec is None or spec.constraint_stat == "expectation":
-        return mean.copy()
-    if spec.constraint_stat == "margin":
-        return mean + spec.kappa * np.atleast_1d(np.asarray(std, dtype=float))
-    raise ValueError(
-        "probability statistics are not composed from mean/std; use the "
-        "chance-constrained QP reduction"
-    )
+    return mean + kappa * np.atleast_1d(np.asarray(std, dtype=float))
 
 
 class GaussianSampler:
@@ -145,16 +141,15 @@ class GaussianSampler:
         return np.concatenate(parts, axis=1)
 
 
-def mc_estimate(fn, x, sampler, m: int, seed, spec: StatisticSpec | None = None) -> StatEstimate:
+def mc_estimate(fn, x, sampler, m: int, seed) -> StatEstimate:
     """Monte-Carlo mean/std of ``fn(x, U)`` over ``m`` noise realizations.
 
     ``fn`` receives all realizations at once, ``U`` of shape (m, p), and
     returns one row of outputs per realization, shape (m,) or (m, k).
     Returns the sample mean and the unbiased (m-1)-denominator standard
-    deviation per output component. A realization whose evaluation failed
-    (e.g. a non-converged coupling solve) is marked by NaN in its row; such
-    rows are excluded and counted in ``n_failed``, and ``n_evals`` reports
-    all ``m`` attempted evaluations.
+    deviation per output component; ``value`` is the mean. A realization
+    whose evaluation failed (e.g. a non-converged coupling solve) is marked
+    by NaN in its row; such rows are excluded and counted in ``n_failed``.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -173,14 +168,7 @@ def mc_estimate(fn, x, sampler, m: int, seed, spec: StatisticSpec | None = None)
         )
     mean = values.mean(axis=0)
     std = values.std(axis=0, ddof=1)
-    return StatEstimate(
-        mean=mean,
-        std=std,
-        value=composed_value(mean, std, spec),
-        n_evals=m,
-        estimator="mc",
-        n_failed=m - len(values),
-    )
+    return StatEstimate(mean=mean, std=std, value=mean.copy(), n_failed=m - len(values))
 
 
 def exact_stats(system, t: float, sigma, x, spec: StatisticSpec | None = None) -> ExactStats:
@@ -214,18 +202,8 @@ def exact_stats(system, t: float, sigma, x, spec: StatisticSpec | None = None) -
 
     cons_mean = t - y_mean
 
-    objective = StatEstimate(
-        mean=[obj_mean],
-        std=[obj_std],
-        value=[obj_mean],
-        n_evals=1,
-        estimator="exact",
-    )
+    objective = StatEstimate(mean=[obj_mean], std=[obj_std], value=[obj_mean])
     constraints = StatEstimate(
-        mean=cons_mean,
-        std=std_cons,
-        value=composed_value(cons_mean, std_cons, spec),
-        n_evals=1,
-        estimator="exact",
+        mean=cons_mean, std=std_cons, value=composed_value(cons_mean, std_cons, spec)
     )
     return ExactStats(objective=objective, constraints=constraints)

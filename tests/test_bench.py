@@ -208,10 +208,19 @@ def test_one_assembly_per_benchmark(monkeypatch):
 
 
 def test_probability_statistic_is_rejected():
+    # Probability-constrained runs are reference-only: no spec can ask for one.
+    with pytest.raises(ValueError, match="constraint_stat"):
+        StatisticSpec(constraint_stat="probability")
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [("taylor", "taylor"), ("mc:20", "mc:20"), ("mc", "mc:200"), ("exact", "taylor", " EXACT")],
+)
+def test_duplicate_estimators_are_rejected(labels):
     problem = default_benchmark_problem(seed=70)
-    spec = StatisticSpec(constraint_stat="probability", epsilon=0.9)
-    with pytest.raises(ValueError, match="reference-only"):
-        run_benchmark(problem, ("exact",), spec=spec, workers=1)
+    with pytest.raises(ValueError, match="same"):
+        run_benchmark(problem, labels, repetitions=2, workers=1)
 
 
 def test_infeasible_reference_raises():
@@ -261,8 +270,7 @@ def test_report_echoes_settings(report):
     payload = json.loads(report_to_json(report))
     assert payload["tool_version"]
     assert payload["config"]["seed"] == 70
-    assert payload["statistic"]["constraint_stat"] == "margin"
-    assert payload["statistic"]["kappa"] == 2.0
+    assert payload["statistic"] == {"constraint_stat": "margin", "kappa": 2.0}
     assert payload["optimizer"] == {"method": "SLSQP", "max_iter": 40, "g_tol": 1e-4, "x0": None}
     assert payload["mda"]["method"] == "direct"
     assert payload["reference"]["status"] == "optimal"

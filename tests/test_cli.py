@@ -280,6 +280,13 @@ def test_benchmark_rejects_probability_statistic(problem_path, capsys):
     assert main(argv) == 2
 
 
+def test_benchmark_rejects_duplicate_estimators(problem_path, capsys):
+    argv = ["benchmark", str(problem_path), "--estimators", "mc:200,mc:200"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "same" in err
+
+
 def test_benchmark_infeasible_reference_exits_3(problem_path, capsys):
     argv = [
         "benchmark", str(problem_path), "--estimators", "exact",
@@ -300,3 +307,19 @@ def test_export_qp_matches_library_bytes(problem_path, tmp_path):
     system = assemble(problem)
     expected = export_qp(reduce_margin(system, problem.t, problem.uncertainty.sigma, 2.0))
     assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("command", ["solve-ref", "export-qp"])
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_non_finite_kappa_is_usage_error(problem_path, tmp_path, capsys, command, kappa):
+    out = tmp_path / "out.json"
+    argv = [
+        command, str(problem_path), "--statistic", "margin", "--kappa", kappa,
+        "--out", str(out),
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "kappa" in captured.err
+    assert not out.exists()

@@ -49,14 +49,9 @@ def test_evaluator_argument_validation():
         RobustEvaluator(system, t, problem.uncertainty, MARGIN, "simplex")
     with pytest.raises(ValueError):
         RobustEvaluator(system, t, problem.uncertainty, MARGIN, "mc", m=1)
+    # Probability-constrained runs are reference-only: no spec carries them.
     with pytest.raises(ValueError):
-        RobustEvaluator(
-            system,
-            t,
-            problem.uncertainty,
-            StatisticSpec(constraint_stat="probability", epsilon=0.05),
-            "exact",
-        )
+        StatisticSpec(constraint_stat="probability")
     # The noise must be a model laid out like the problem's (3, 3) coupling.
     for sigma in (
         UncertaintyModel.isotropic((2, 4), 0.01),
@@ -156,6 +151,27 @@ def test_exact_evaluator_is_bitwise_exact_stats():
                 stats = exact_stats(system, problem.t, sigma_matrix, x, spec)
                 assert f == stats.objective.value[0]
                 assert np.array_equal(g, stats.constraints.value)
+
+
+@pytest.mark.parametrize("estimator,m", [("exact", 200), ("taylor", 200), ("mc", 50)])
+def test_expectation_is_the_margin_at_kappa_zero(estimator, m):
+    problem = tuned_problem(7)
+    system = assemble(problem)
+    specs = (
+        StatisticSpec(constraint_stat="expectation"),
+        StatisticSpec(constraint_stat="margin", kappa=0.0),
+    )
+    expectation, margin = (
+        RobustEvaluator(system, problem.t, problem.uncertainty, spec, estimator, m=m, seed=3)
+        for spec in specs
+    )
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x = rng.random(system.d)
+        f_e, g_e = expectation.evaluate(x)
+        f_m, g_m = margin.evaluate(x)
+        assert f_e == f_m
+        assert np.array_equal(g_e, g_m)
 
 
 DIRECT = MDASettings(method="direct")

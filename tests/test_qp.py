@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from umdobench import (
@@ -166,14 +167,23 @@ def test_gaussian_quantile_is_bitwise_norm_ppf():
 
 
 def test_probability_matches_margin_for_matched_levels():
+    # The chance constraint at level eps is the margin at kappa = -z_eps, bit
+    # for bit, on the levels matched to kappa = 0.5, 1, 2 and across (0, 1).
     system, t = tuned_system(5)
     sigma = 0.01 ** 2 * np.eye(system.p)
-    for kappa in (0.5, 1.0, 2.0):
-        eps = float(scipy.stats.norm.cdf(-kappa))
+    matched = [float(scipy.stats.norm.cdf(-kappa)) for kappa in (0.5, 1.0, 2.0)]
+    tail = np.logspace(-15, np.log10(0.5), 40)
+    grid = np.concatenate([matched, np.linspace(0.01, 0.99, 99), tail, 1.0 - tail])
+    for eps in grid:
+        margin = reduce_margin(system, t, sigma, -scipy.special.ndtri(eps))
+        prob = reduce_probability(system, t, epsilon=float(eps), sigma=sigma)
+        assert np.array_equal(prob.b, margin.b), eps
+        assert prob.d0 == margin.d0, eps
+    # z_eps round-trips kappa to within an ulp, so the matched rows agree.
+    for kappa, eps in zip((0.5, 1.0, 2.0), matched):
         margin = reduce_margin(system, t, sigma, kappa)
         prob = reduce_probability(system, t, epsilon=eps, sigma=sigma)
         assert np.max(np.abs(margin.b - prob.b)) <= 1e-12
-        assert prob.d0 == pytest.approx(margin.d0, abs=1e-14)
 
 
 def test_probability_argument_validation():
@@ -183,6 +193,13 @@ def test_probability_argument_validation():
             reduce_probability(system, 0.0, epsilon=eps, sigma=np.eye(system.p))
     with pytest.raises(TypeError):
         reduce_probability(system, 0.0, epsilon=0.1)
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf")])
+def test_margin_rejects_non_finite_kappa(kappa):
+    system = decoupled_system()
+    with pytest.raises(ValueError, match="kappa"):
+        reduce_margin(system, 0.0, sigma=np.eye(system.p), kappa=kappa)
 
 
 # --- interior-point solver --------------------------------------------------------

@@ -62,11 +62,14 @@ def test_spec_validation():
         StatisticSpec(constraint_stat="worst_case")
     with pytest.raises(ValueError):
         StatisticSpec(constraint_stat="margin", kappa=float("inf"))
-    with pytest.raises(ValueError):
+    # The chance constraint is reference-only (qp.reduce_probability).
+    with pytest.raises(ValueError, match="constraint_stat"):
         StatisticSpec(constraint_stat="probability")
-    with pytest.raises(ValueError):
-        StatisticSpec(constraint_stat="probability", epsilon=1.5)
-    StatisticSpec(constraint_stat="probability", epsilon=0.05)
+    with pytest.raises(ValueError, match="constraint_stat"):
+        StatisticSpec(constraint_stat="probability", kappa=1.6448536269514722)
+    # The expectation is the margin at kappa = 0, whatever kappa it was given.
+    assert StatisticSpec(constraint_stat="expectation", kappa=5.0).kappa == 0.0
+    assert StatisticSpec(constraint_stat="expectation", kappa=float("nan")).kappa == 0.0
 
 
 def test_composed_value():
@@ -76,16 +79,11 @@ def test_composed_value():
     assert np.array_equal(composed_value(mean, std, exp_spec), mean)
     margin = StatisticSpec(constraint_stat="margin", kappa=2.0)
     assert np.array_equal(composed_value(mean, std, margin), mean + 2.0 * std)
-    prob = StatisticSpec(constraint_stat="probability", epsilon=0.05)
-    with pytest.raises(ValueError):
-        composed_value(mean, std, prob)
 
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        StatEstimate(mean=[0.0], std=[-1.0], value=[0.0], n_evals=1, estimator="mc")
-    with pytest.raises(ValueError):
-        StatEstimate(mean=[0.0], std=[0.0], value=[0.0], n_evals=0, estimator="mc")
+        StatEstimate(mean=[0.0], std=[-1.0], value=[0.0])
 
 
 # --- sampler ---------------------------------------------------------------------
@@ -126,8 +124,8 @@ def test_mc_constant_function_has_zero_std():
     )
     assert np.array_equal(est.mean, [3.0, -1.0])
     assert np.array_equal(est.std, [0.0, 0.0])
-    assert est.n_evals == 50
-    assert est.estimator == "mc"
+    assert np.array_equal(est.value, est.mean)
+    assert est.n_failed == 0
 
 
 def test_mc_standard_normal_moments():
@@ -159,7 +157,6 @@ def test_mc_excludes_failing_realizations():
 
     est = mc_estimate(flaky, None, scalar_sampler(), 400, seed=5)
     assert est.n_failed > 0
-    assert est.n_evals == 400
     assert np.all(est.mean <= 0.5)
 
     def always_fails(x, U):
@@ -241,14 +238,21 @@ def test_mc_requires_two_samples():
 
 
 def test_mc_margin_composition():
-    system, t, sampler, _ = reference_setup(seed=3)
+    # The mc evaluator's margin is mc_estimate's mean + 2 std over the same draws.
+    problem = reference_problem(seed=3)
+    system, t = assemble(problem), problem.t
+    sampler = GaussianSampler(problem.uncertainty.sigma_blocks)
     spec = StatisticSpec(constraint_stat="margin", kappa=2.0)
+    x = np.full(system.d, 0.4)
 
     def constraint_fn(x, U):
-        return t - solve_mda(system, x, U, MDASettings(method="direct")).y
+        return t - solve_mda(system, x, U, DIRECT).y
 
-    est = mc_estimate(constraint_fn, np.full(system.d, 0.4), sampler, 100, seed=2, spec=spec)
-    assert np.allclose(est.value, est.mean + 2.0 * est.std, atol=1e-15)
+    est = mc_estimate(constraint_fn, x, sampler, 100, seed=2)
+    evaluator = RobustEvaluator(
+        system, t, problem.uncertainty, spec, "mc", m=100, seed=2, mda_settings=DIRECT
+    )
+    assert np.array_equal(evaluator.constraints(x), est.mean + 2.0 * est.std)
 
 
 # --- Taylor (the driver's "taylor" estimator) -----------------------------------
