@@ -19,7 +19,7 @@ import csv
 import io
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +61,6 @@ __all__ = [
 ]
 
 THREADS_ENV = "UMDO_BENCH_THREADS"
-
-CSV_COLUMNS = ("estimator", "rep", "dx_pct", "df_pct", "dg_pct", "n_evals", "wall_s")
 
 
 def default_benchmark_problem(seed: int = 70, sigma_std: float = 0.01):
@@ -121,9 +119,25 @@ def _parse_estimators(labels) -> list[tuple[str, str, int | None]]:
     return parsed
 
 
+def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+def _record(obj) -> dict:
+    """The fields of dataclass ``obj`` as JSON-ready data, in declaration
+    order: arrays and tuples become lists, numpy scalars Python numbers."""
+    return _plain(asdict(obj))
+
+
 @dataclass(frozen=True)
 class BenchmarkRun:
-    """One scored optimizer run; mirrors one CSV row."""
+    """One scored optimizer run; its fields are the CSV columns."""
 
     estimator: str
     rep: int
@@ -132,6 +146,9 @@ class BenchmarkRun:
     dg_pct: float
     n_evals: int
     wall_s: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchmarkRun))
 
 
 @dataclass(frozen=True)
@@ -173,57 +190,18 @@ class BenchmarkReport:
     repetitions: int
     seeds: dict
     reference: dict
-    environment: dict
     runs: list[BenchmarkRun] = field(default_factory=list)
     estimators: list[EstimatorSummary] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
+    environment: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        rows = []
-        for s in self.estimators:
-            row = {
-                "estimator": s.estimator,
-                "repetitions": s.repetitions,
-                "mean_dx_pct": s.mean_dx_pct,
-                "mean_df_pct": s.mean_df_pct,
-                "mean_dg_pct": s.mean_dg_pct,
-                "mean_n_evals": s.mean_n_evals,
-                "mean_wall_s": s.mean_wall_s,
-            }
-            if s.repetitions >= 2:
-                row["std_dx_pct"] = s.std_dx_pct
-                row["std_df_pct"] = s.std_df_pct
-                row["std_dg_pct"] = s.std_dg_pct
-            rows.append(row)
-        return {
-            "tool_version": self.tool_version,
-            "problem_digest": self.problem_digest,
-            "config": dict(self.config),
-            "t": self.t,
-            "statistic": dict(self.statistic),
-            "optimizer": dict(self.optimizer),
-            "mda": dict(self.mda),
-            "sigma_blocks": self.sigma_blocks,
-            "base_seed": self.base_seed,
-            "repetitions": self.repetitions,
-            "seeds": {k: list(v) for k, v in self.seeds.items()},
-            "reference": dict(self.reference),
-            "runs": [
-                {
-                    "estimator": r.estimator,
-                    "rep": r.rep,
-                    "dx_pct": r.dx_pct,
-                    "df_pct": r.df_pct,
-                    "dg_pct": r.dg_pct,
-                    "n_evals": r.n_evals,
-                    "wall_s": r.wall_s,
-                }
-                for r in self.runs
-            ],
-            "estimators": rows,
-            "failures": [dict(f) for f in self.failures],
-            "environment": dict(self.environment),
-        }
+        record = _record(self)
+        # A summary's std fields are None below two repetitions; omit them.
+        record["estimators"] = [
+            {k: v for k, v in row.items() if v is not None} for row in record["estimators"]
+        ]
+        return record
 
 
 @dataclass(frozen=True)
@@ -338,13 +316,17 @@ def run_benchmark(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    parsed = _parse_estimators(estimators)
+    seeds = {
+        label: [base_seed + rep for rep in range(repetitions if kind == "mc" else 1)]
+        for label, kind, _ in parsed
+    }
+    n_workers = _resolve_workers(workers, sum(map(len, seeds.values())))
     spec = spec if spec is not None else StatisticSpec(constraint_stat="margin", kappa=2.0)
     optimizer = optimizer if optimizer is not None else OptimizerSettings()
     model = _noise_model(
         problem.config.p_coupling, sigma if sigma is not None else problem.uncertainty
     )
-
-    parsed = _parse_estimators(estimators)
 
     system = assemble(problem)
     # The expectation's kappa is 0: its constraint rows, with the noise-energy
@@ -357,30 +339,24 @@ def run_benchmark(
     if reference.status != "optimal":
         raise NumericalError(f"reference QP solve ended with status {reference.status!r}")
 
-    tasks = []
-    seeds: dict[str, list[int]] = {}
-    for label, kind, m in parsed:
-        reps = repetitions if kind == "mc" else 1
-        seeds[label] = [base_seed + rep for rep in range(reps)]
-        for rep in range(reps):
-            tasks.append(
-                _RunTask(
-                    system=system,
-                    t=problem.t,
-                    sigma=model,
-                    spec=spec,
-                    optimizer=optimizer,
-                    mda_settings=mda_settings,
-                    reference=reference,
-                    label=label,
-                    kind=kind,
-                    m=m,
-                    rep=rep,
-                    seed=base_seed + rep,
-                )
-            )
-
-    n_workers = _resolve_workers(workers, len(tasks))
+    tasks = [
+        _RunTask(
+            system=system,
+            t=problem.t,
+            sigma=model,
+            spec=spec,
+            optimizer=optimizer,
+            mda_settings=mda_settings,
+            reference=reference,
+            label=label,
+            kind=kind,
+            m=m,
+            rep=rep,
+            seed=seed,
+        )
+        for label, kind, m in parsed
+        for rep, seed in enumerate(seeds[label])
+    ]
     if n_workers == 1:
         outcomes = [_execute_run(task) for task in tasks]
     else:
@@ -399,56 +375,30 @@ def run_benchmark(
         if rows:
             summaries.append(_summarize(label, rows))
 
-    mda_echo = mda_settings if mda_settings is not None else MDASettings()
     from . import __version__
 
     return BenchmarkReport(
         tool_version=__version__,
         problem_digest=problem_digest(problem),
-        config={
-            "n_disciplines": problem.config.n_disciplines,
-            "d_shared": problem.config.d_shared,
-            "d_local": list(problem.config.d_local),
-            "p_coupling": list(problem.config.p_coupling),
-            "coupling_strength": problem.config.coupling_strength,
-            "feasibility_level": problem.config.feasibility_level,
-            "seed": problem.config.seed,
-        },
+        config=_record(problem.config),
         t=float(problem.t),
-        statistic={"constraint_stat": spec.constraint_stat, "kappa": spec.kappa},
-        optimizer={
-            "method": "SLSQP",
-            "max_iter": optimizer.max_iter,
-            "g_tol": optimizer.g_tol,
-            "x0": None if optimizer.x0 is None else [float(v) for v in optimizer.x0],
-        },
-        mda={
-            "method": mda_echo.method,
-            "tol": mda_echo.tol,
-            "max_iter": mda_echo.max_iter,
-            "warm_start": mda_echo.warm_start,
-        },
+        statistic=_record(spec),
+        optimizer={"method": "SLSQP", **_record(optimizer)},
+        mda=_record(mda_settings if mda_settings is not None else MDASettings()),
         sigma_blocks=[b.tolist() for b in model.sigma_blocks],
         base_seed=base_seed,
         repetitions=repetitions,
         seeds=seeds,
-        reference={
-            "status": reference.status,
-            "x_star": [float(v) for v in reference.x_star],
-            "f_star": float(reference.f_star),
-            "g_star": [float(v) for v in reference.g_star],
-            "kkt_residual": float(reference.kkt_residual),
-            "iterations": int(reference.iterations),
-        },
+        reference=_record(reference),
+        runs=runs,
+        estimators=summaries,
+        failures=failures,
         environment={
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "machine": platform.machine(),
         },
-        runs=runs,
-        estimators=summaries,
-        failures=failures,
     )
 
 
@@ -467,7 +417,7 @@ def report_to_csv(report: BenchmarkReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in report.runs:
-        writer.writerow([r.estimator, r.rep, r.dx_pct, r.df_pct, r.dg_pct, r.n_evals, r.wall_s])
+        writer.writerow(astuple(r))
     return buf.getvalue()
 
 

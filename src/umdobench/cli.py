@@ -19,14 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import (
-    _parse_estimators,
-    _resolve_workers,
-    parse_estimator,
-    report_to_json,
-    run_benchmark,
-    write_report,
-)
+from .bench import _record, parse_estimator, report_to_json, run_benchmark, write_report
 from .driver import OptimizerSettings, RobustEvaluator, _noise_model, optimize
 from .errors import InfeasibleReferenceError, UmdoBenchError
 from .problem import (
@@ -167,17 +160,7 @@ def cmd_solve_ref(args) -> int:
     except ValueError as exc:
         return _fail_usage(str(exc))
     solution = solve_qp(qp)
-    _write_json(
-        {
-            "status": solution.status,
-            "x_star": [float(v) for v in solution.x_star],
-            "f_star": float(solution.f_star),
-            "g_star": [float(v) for v in solution.g_star],
-            "kkt_residual": float(solution.kkt_residual),
-            "iterations": int(solution.iterations),
-        },
-        args.out,
-    )
+    _write_json(_record(solution), args.out)
     if solution.status == "infeasible":
         return EXIT_INFEASIBLE
     if solution.status != "optimal":
@@ -202,50 +185,25 @@ def cmd_solve_mdf(args) -> int:
         )
     except ValueError as exc:
         return _fail_usage(str(exc))
-    run = optimize(evaluator, settings)
-    _write_json(
-        {
-            "x_opt": [float(v) for v in run.x_opt],
-            "f_opt": float(run.f_opt),
-            "g_opt": [float(v) for v in run.g_opt],
-            "n_discipline_evals": int(run.n_discipline_evals),
-            "n_optimizer_iters": int(run.n_optimizer_iters),
-            "converged": bool(run.converged),
-            "message": run.message,
-            "estimator": run.estimator,
-            "wall_time": float(run.wall_time),
-        },
-        args.out,
-    )
+    _write_json(_record(optimize(evaluator, settings)), args.out)
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
     problem = _load_problem(args.problem)
     try:
-        labels = tuple(part.strip() for part in args.estimators.split(",") if part.strip())
-        if not labels:
-            raise ValueError("--estimators must name at least one estimator")
-        _parse_estimators(labels)
-        if args.repetitions < 1:
-            raise ValueError("--repetitions must be >= 1")
-        _resolve_workers(args.workers, len(labels))
-        spec = _statistic_spec(args.statistic, args.kappa)
-        settings = OptimizerSettings(max_iter=args.max_iter)
-        sigma = _sigma_model(problem, args.sigma)
+        report = run_benchmark(
+            problem,
+            tuple(part.strip() for part in args.estimators.split(",") if part.strip()),
+            repetitions=args.repetitions,
+            spec=_statistic_spec(args.statistic, args.kappa),
+            sigma=_sigma_model(problem, args.sigma),
+            optimizer=OptimizerSettings(max_iter=args.max_iter),
+            base_seed=args.seed,
+            workers=args.workers,
+        )
     except ValueError as exc:
         return _fail_usage(str(exc))
-
-    report = run_benchmark(
-        problem,
-        labels,
-        repetitions=args.repetitions,
-        spec=spec,
-        sigma=sigma,
-        optimizer=settings,
-        base_seed=args.seed,
-        workers=args.workers,
-    )
     for summary in report.estimators:
         print(
             f"{summary.estimator}: dx={summary.mean_dx_pct:.4f}% "

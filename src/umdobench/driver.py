@@ -85,9 +85,9 @@ class RunResult:
     n_discipline_evals: int
     n_optimizer_iters: int
     converged: bool
+    message: str
     estimator: str
     wall_time: float
-    message: str
 
 
 class RobustEvaluator:
@@ -310,9 +310,9 @@ def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = No
         n_discipline_evals=evaluator.n_discipline_evals - evals_before,
         n_optimizer_iters=int(res.nit),
         converged=bool(res.success) and float(np.max(g_opt)) <= settings.g_tol,
+        message=str(res.message),
         estimator=evaluator.estimator,
         wall_time=wall,
-        message=str(res.message),
     )
 
 

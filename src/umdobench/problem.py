@@ -23,7 +23,7 @@ import logging
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -158,6 +158,8 @@ class UncertaintyModel:
         for i, b in enumerate(blocks):
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ValueError(f"sigma block {i} is not square")
+            if not np.isfinite(b).all():
+                raise ValueError(f"sigma block {i} is not finite")
             if not np.allclose(b, b.T, atol=1e-12):
                 raise ValueError(f"sigma block {i} is not symmetric")
             w = np.linalg.eigvalsh(0.5 * (b + b.T))
@@ -177,6 +179,8 @@ class UncertaintyModel:
     @classmethod
     def isotropic(cls, p_coupling, std: float) -> "UncertaintyModel":
         """Gaussian noise with covariance std**2 * I on every block."""
+        if not math.isfinite(std):
+            raise ValueError("std must be finite")
         if std < 0:
             raise ValueError("std must be >= 0")
         blocks = tuple(std ** 2 * np.eye(p) for p in p_coupling)
@@ -520,18 +524,9 @@ def _emit(obj) -> str:
 
 def serialize(problem: ScalableProblem) -> bytes:
     """Render a problem as canonical JSON bytes (17-significant-digit floats)."""
-    cfg = problem.config
     doc = {
         "version": FORMAT_VERSION,
-        "config": {
-            "n_disciplines": cfg.n_disciplines,
-            "d_shared": cfg.d_shared,
-            "d_local": list(cfg.d_local),
-            "p_coupling": list(cfg.p_coupling),
-            "coupling_strength": cfg.coupling_strength,
-            "feasibility_level": cfg.feasibility_level,
-            "seed": cfg.seed,
-        },
+        "config": asdict(problem.config),
         "a": problem.a,
         "D_shared": problem.D_shared,
         "D_local": problem.D_local,

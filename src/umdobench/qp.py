@@ -24,7 +24,7 @@ residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -115,11 +115,11 @@ class QPSolution:
     ``max_iter``.
     """
 
+    status: str
     x_star: np.ndarray
     f_star: float
     g_star: np.ndarray
     kkt_residual: float
-    status: str
     iterations: int = 0
 
 
@@ -314,13 +314,4 @@ def solve_qp(
 
 def export_qp(qp: QPData) -> bytes:
     """Render the QP as canonical JSON bytes for external cross-checks."""
-    doc = {
-        "Q": qp.Q,
-        "c": qp.c,
-        "d0": qp.d0,
-        "A": qp.A,
-        "b": qp.b,
-        "lower": qp.lower,
-        "upper": qp.upper,
-    }
-    return _emit(doc).encode("ascii")
+    return _emit(asdict(qp)).encode("ascii")

@@ -1,6 +1,7 @@
 """Benchmark orchestration: repetitions, aggregation, reports, worker pool."""
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -115,6 +116,8 @@ def test_csv_and_json_contain_identical_numbers(tmp_path, report):
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0].keys()) == list(CSV_COLUMNS)
+    assert [list(row) for row in payload["runs"]] == [list(CSV_COLUMNS)] * len(rows)
+    assert CSV_COLUMNS == tuple(f.name for f in dataclasses.fields(bench.BenchmarkRun))
     assert len(rows) == len(payload["runs"])
     for csv_row, json_row in zip(rows, payload["runs"]):
         assert csv_row["estimator"] == json_row["estimator"]

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from umdobench.cli import main
+from umdobench.driver import RunResult
 from umdobench.problem import assemble, deserialize, problem_digest
 from umdobench.qp import export_qp, reduce_deterministic, reduce_margin, solve_qp
 
@@ -220,6 +222,7 @@ def test_solve_mdf_exact_reaches_margin_reference(problem_path, capsys):
     ]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [f.name for f in fields(RunResult)]
     assert payload["converged"] is True
     assert isinstance(payload["message"], str) and payload["message"]
     assert payload["estimator"] == "exact"
@@ -247,6 +250,14 @@ def test_benchmark_writes_json_and_csv(problem_path, tmp_path, capsys):
     assert "exact: dx=" in out
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["estimators"][0]["estimator"] == "exact"
+    # solve-ref writes the same record as the report's reference block.
+    ref = tmp_path / "ref.json"
+    argv = [
+        "solve-ref", str(problem_path), "--statistic", "margin", "--kappa", "2",
+        "--out", str(ref),
+    ]
+    assert main(argv) == 0
+    assert list(json.loads(ref.read_text()).items()) == list(payload["reference"].items())
     csv_lines = (tmp_path / "report.csv").read_text().splitlines()
     assert csv_lines[0] == "estimator,rep,dx_pct,df_pct,dg_pct,n_evals,wall_s"
     assert len(csv_lines) == 2
@@ -307,6 +318,7 @@ def test_export_qp_matches_library_bytes(problem_path, tmp_path):
     system = assemble(problem)
     expected = export_qp(reduce_margin(system, problem.t, problem.uncertainty.sigma, 2.0))
     assert out.read_bytes() == expected
+    assert list(json.loads(expected)) == ["Q", "c", "d0", "A", "b", "lower", "upper"]
 
 
 @pytest.mark.parametrize("command", ["solve-ref", "export-qp"])
@@ -322,4 +334,22 @@ def test_non_finite_kappa_is_usage_error(problem_path, tmp_path, capsys, command
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "kappa" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "solve-ref", "solve-mdf"])
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_sigma_is_usage_error(problem_path, tmp_path, capsys, recwarn, command, sigma):
+    out = tmp_path / "out.json"
+    if command == "generate":
+        argv = ["generate", *GENERATE_FLAGS[:-2], "--sigma", sigma, "--out", str(out)]
+    else:
+        argv = [command, str(problem_path), "--statistic", "margin", "--sigma", sigma,
+                "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "finite" in captured.err
+    assert len(recwarn) == 0
     assert not out.exists()

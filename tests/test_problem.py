@@ -480,6 +480,12 @@ def test_uncertainty_model_validation():
         UncertaintyModel((np.array([[1.0, 0.5], [0.0, 1.0]]),))
     with pytest.raises(ValueError):
         UncertaintyModel((np.array([[1.0, 2.0], [2.0, 1.0]]),))
+    # A non-finite block is named as such, not as asymmetric.
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma block 0 is not finite"):
+            UncertaintyModel((np.full((2, 2), value),))
+        with pytest.raises(ValueError, match="std must be finite"):
+            UncertaintyModel.isotropic((2, 3), value)
     model = UncertaintyModel.isotropic((2, 3), 0.1)
     assert model.sigma.shape == (5, 5)
     assert np.allclose(model.sigma, 0.01 * np.eye(5))
