@@ -83,6 +83,6 @@ def objective_sample(_, U):
 
 truth = exact.objective.mean[0]
 for m in (100, 1000, 10_000):
-    gaps = [abs(mc_estimate(objective_sample, x, sampler, m, seed=s).mean[0] - truth)
+    gaps = [abs(mc_estimate(objective_sample, x, sampler.draw(m, s)).mean[0] - truth)
             for s in range(10)]
     print(f"m={m:6d}: mean |error| = {np.mean(gaps):.2e}")

@@ -117,12 +117,17 @@ class RobustEvaluator:
     :class:`~umdobench.problem.UncertaintyModel` whose ``p_coupling`` matches
     the system's, or None for zero noise.
 
-    The ``exact`` and ``taylor`` estimators differ only in the mean-noise
-    outputs (the affine map or a coupling solve). Their propagated std and
-    noise energy do not depend on the design point, so they are computed
-    once, when the evaluator is built: their errors (a singular coupling
-    matrix, a negative propagated variance) surface from the constructor
-    rather than from the first evaluation.
+    What does not depend on the design point is computed once, when the
+    evaluator is built, so its errors surface from the constructor rather
+    than from the first evaluation:
+
+    * ``mc``: the (m, p) noise sample, one ``GaussianSampler.draw(m, seed)``
+      that every design point reuses.
+    * ``exact`` and ``taylor``: the propagated constraint std and, for
+      ``exact``, the noise energy (a singular coupling matrix or a negative
+      propagated variance raises here). These two estimators differ only in
+      the mean-noise outputs, the affine map or a coupling solve, and build
+      no sampler.
     """
 
     def __init__(self, system, t, sigma, spec, estimator, m=_DEFAULT_M, seed=0, mda_settings=None):
@@ -138,8 +143,10 @@ class RobustEvaluator:
         self.m = m
         self.seed = seed
         self.mda_settings = mda_settings or MDASettings()
-        self.sampler = GaussianSampler(model.sigma_blocks)
-        if estimator != "mc":
+        if estimator == "mc":
+            # Common random numbers: one sample serves every design point.
+            self._samples = GaussianSampler(model.sigma_blocks).draw(m, seed)
+        else:
             # Constraints are linear in the noise with gradient -P', so the
             # first-order std is exact. The Taylor objective is the value at
             # the mean noise and misses the noise energy by design.
@@ -197,13 +204,7 @@ class RobustEvaluator:
             center = solve_mda(self.system, x, settings=self.mda_settings)
             self.n_discipline_evals += center.iterations
             y0 = center.y
-        est = mc_estimate(
-            functools.partial(self._coupled_outputs, y0=y0),
-            x,
-            self.sampler,
-            self.m,
-            self.seed,
-        )
+        est = mc_estimate(functools.partial(self._coupled_outputs, y0=y0), x, self._samples)
         self.n_failed_samples += est.n_failed
         f = float(est.mean[0])
         g = composed_value(est.mean[1:], est.std[1:], self.spec)

@@ -3,9 +3,18 @@
 For a fixed design point x and noise realization u the coupling equations of
 an assembled system read ``C y = a - D x + u``. This module solves them
 either directly through the cached LU factorization or by block fixed-point
-iteration (Jacobi or Gauss-Seidel sweeps over the disciplines). Generated
-problems make the assembled coupling matrix strictly diagonally dominant, so
-the fixed-point iterations contract and the residual decays geometrically.
+iteration (Jacobi or Gauss-Seidel sweeps over the disciplines) of the
+coupling map ``h(x, y) = a - D x + u + B y``, with ``B = I - C`` the stacked
+coupling blocks. Generated problems make the assembled coupling matrix
+strictly diagonally dominant, so the fixed-point iterations contract and the
+residual ``y - h(x, y)`` decays geometrically.
+
+The residual of a Jacobi iterate is measured against its image under h,
+which is also the next iterate, so a Jacobi sweep evaluates h once and s
+sweeps evaluate it s + 1 times (the extra one is the residual of the first
+iterate). Gauss-Seidel evaluates h once per sweep for its residual, on top of
+its block updates. Sweep counts, which the benchmark reports as discipline
+evaluations, count sweeps, not evaluations of h.
 
 A block of m noise realizations (the Monte-Carlo samples of one design point)
 is solved in one call over an (m, p) iterate. Its products are computed row by
@@ -29,7 +38,10 @@ class MDASettings:
     """How to solve the coupling equations.
 
     ``tol`` bounds the Euclidean norm of the coupling residual
-    ``y - h(x, y)``; ``max_iter`` caps the number of fixed-point sweeps.
+    ``y - h(x, y)``, measured after every sweep; ``max_iter`` caps the
+    number of fixed-point sweeps. A Jacobi solve of s sweeps evaluates h
+    s + 1 times, because each sweep's next iterate is the h its residual
+    needed.
     ``warm_start`` lets callers start the fixed-point methods from a nearby
     coupling vector instead of zero; the Monte-Carlo estimator of
     :class:`~umdobench.driver.RobustEvaluator` then starts every realization
@@ -161,37 +173,46 @@ def _fixed_point(system, Y, rhs, settings):
     """Jacobi or Gauss-Seidel sweeps over the rows of Y, in place.
 
     Only rows that have not yet converged are swept: they are kept packed in
-    ``active`` (iterates), ``active_rhs`` and ``rows`` (their row numbers),
-    and a row is written back to Y when it converges or the budget runs out.
-    Returns ``(final residual per row, sweeps per row, history)``.
+    ``active`` (iterates), ``active_rhs``, ``h`` (``rhs + B y`` of each
+    iterate y, which is also its next Jacobi iterate) and ``rows`` (their row
+    numbers), and a row is written back to Y when it converges or the budget
+    runs out. Returns ``(final residual per row, sweeps per row, history)``.
     """
     B = system.iteration_matrix
+    jacobi = settings.method == "jacobi"
     m = Y.shape[0]
     residual = np.empty(m)
     sweeps = np.empty(m, dtype=int)
     history = []
     rows = np.arange(m)
     active, active_rhs = Y, rhs
+    if jacobi:
+        h = active_rhs + _matvec(B, active)
     for sweep in range(1, settings.max_iter + 1):
-        if settings.method == "jacobi":
-            active = active_rhs + _matvec(B, active)
+        if jacobi:
+            active = h
         else:
             # Gauss-Seidel: sweep discipline blocks in order. The diagonal
             # blocks of B are zero, so B[block] @ y picks up fresh values for
             # already-updated blocks and stale ones for the rest.
             for block in system.block_slices:
                 active[:, block] = active_rhs[:, block] + _matvec(B[block], active)
-        res = _row_norms(_matvec(system.C, active) - active_rhs)
-        history.append(float(res.max()))
+        h = active_rhs + _matvec(B, active)
+        res = _row_norms(active - h)
+        worst = float(res.max())
+        history.append(worst)
         # A row leaves when it converges or the budget runs out.
-        done = (res <= settings.tol) | (sweep == settings.max_iter)
+        if sweep == settings.max_iter or worst <= settings.tol:
+            Y[rows] = active
+            residual[rows] = res
+            sweeps[rows] = sweep
+            break
+        done = res <= settings.tol
         if done.any():
             finished = rows[done]
             Y[finished] = active[done]
             residual[finished] = res[done]
             sweeps[finished] = sweep
             keep = ~done
-            rows, active, active_rhs = rows[keep], active[keep], active_rhs[keep]
-            if rows.size == 0:
-                break
+            rows, active, active_rhs, h = rows[keep], active[keep], active_rhs[keep], h[keep]
     return residual, sweeps, history

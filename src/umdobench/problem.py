@@ -23,7 +23,7 @@ import logging
 import math
 import re
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -597,6 +597,14 @@ def _as_array(value, shape, path):
     return arr
 
 
+# How deserialize reads each ProblemConfig field, keyed by the field's
+# annotation (a string, under ``from __future__ import annotations``).
+# Derived from the dataclass, so every field serialize writes is read back;
+# a field of a type missing here fails at import, not silently.
+_CONVERTERS = {"int": _as_int, "float": _as_float, "tuple[int, ...]": _as_int_list}
+_CONFIG_FIELDS = tuple((f.name, _CONVERTERS[f.type]) for f in fields(ProblemConfig))
+
+
 def deserialize(data: bytes | str) -> ScalableProblem:
     """Parse problem bytes written by :func:`serialize`.
 
@@ -628,20 +636,15 @@ def deserialize(data: bytes | str) -> ScalableProblem:
         )
 
     cfg_doc = _require(doc, "config", "")
-    fields = {
+    values = {
         key: convert(_require(cfg_doc, key, "config."), f"config.{key}")
-        for key, convert in (
-            ("n_disciplines", _as_int),
-            ("d_shared", _as_int),
-            ("d_local", _as_int_list),
-            ("p_coupling", _as_int_list),
-            ("coupling_strength", _as_float),
-            ("feasibility_level", _as_float),
-            ("seed", _as_int),
-        )
+        for key, convert in _CONFIG_FIELDS
     }
+    for key in cfg_doc:
+        if key not in values:
+            raise ProblemFormatError("unknown config field", field=f"config.{key}")
     try:
-        config = ProblemConfig(**fields)
+        config = ProblemConfig(**values)
     except ValueError as exc:
         raise ProblemFormatError(f"invalid config: {exc}", field="config") from exc
 

@@ -3,10 +3,11 @@
 Two estimators of the objective/constraint statistics are provided here:
 
 * Monte-Carlo sampling (:func:`mc_estimate`): unbiased sample mean and
-  (M-1)-denominator standard deviation over i.i.d. noise realizations. All M
-  realizations are handed as one (M, p) block to a caller-supplied function,
-  which typically solves them in one block coupling solve and returns one row
-  of outputs per realization.
+  (M-1)-denominator standard deviation over an (M, p) block of i.i.d. noise
+  realizations that the caller draws, typically once per optimization run
+  (common random numbers). The block is handed whole to a caller-supplied
+  function, which typically solves it in one block coupling solve and
+  returns one row of outputs per realization.
 * Closed forms (:func:`exact_stats`): ground truth available because the
   coupling solution is affine in both design and noise. Used as the oracle
   when benchmarking the sampled and Taylor estimators.
@@ -141,19 +142,26 @@ class GaussianSampler:
         return np.concatenate(parts, axis=1)
 
 
-def mc_estimate(fn, x, sampler, m: int, seed) -> StatEstimate:
-    """Monte-Carlo mean/std of ``fn(x, U)`` over ``m`` noise realizations.
+def mc_estimate(fn, x, U) -> StatEstimate:
+    """Monte-Carlo mean/std of ``fn(x, U)`` over the noise realizations ``U``.
 
-    ``fn`` receives all realizations at once, ``U`` of shape (m, p), and
-    returns one row of outputs per realization, shape (m,) or (m, k).
-    Returns the sample mean and the unbiased (m-1)-denominator standard
-    deviation per output component; ``value`` is the mean. A realization
-    whose evaluation failed (e.g. a non-converged coupling solve) is marked
-    by NaN in its row; such rows are excluded and counted in ``n_failed``.
+    ``U``, shape (m, p), holds one realization per row, e.g. a
+    :meth:`GaussianSampler.draw`; passing the same ``U`` at every design
+    point gives common random numbers. ``fn`` receives all realizations at
+    once and returns one row of outputs per realization, shape (m,) or
+    (m, k). Returns the sample mean and the unbiased (m-1)-denominator
+    standard deviation per output component; ``value`` is the mean. A
+    realization whose evaluation failed (e.g. a non-converged coupling
+    solve) is marked by NaN in its row; such rows are excluded and counted
+    in ``n_failed``.
     """
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2:
+        raise ValueError(f"U must have shape (m, p), got {U.shape}")
+    m = U.shape[0]
     if m < 2:
         raise ValueError("m must be >= 2")
-    values = np.asarray(fn(x, sampler.draw(m, seed)), dtype=float)
+    values = np.asarray(fn(x, U), dtype=float)
     if values.ndim == 1:
         values = values[:, None]
     if values.ndim != 2 or values.shape[0] != m:

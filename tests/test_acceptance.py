@@ -206,7 +206,7 @@ def test_criterion_7_mc_convergence_rate():
     errors = []
     for m in sizes:
         gaps = [
-            abs(mc_estimate(objective_sample, x, sampler, m, seed=500 + s).mean[0] - truth)
+            abs(mc_estimate(objective_sample, x, sampler.draw(m, 500 + s)).mean[0] - truth)
             for s in range(20)
         ]
         errors.append(float(np.mean(gaps)))

@@ -19,7 +19,7 @@ from umdobench.driver import (
     optimize,
     percent_errors,
 )
-from umdobench.mda import MDASettings
+from umdobench.mda import MDASettings, solve_mda
 from umdobench.qp import QPSolution, reduce_deterministic, reduce_margin, solve_qp
 from umdobench.uq import StatisticSpec, exact_stats
 
@@ -133,6 +133,52 @@ def test_taylor_std_is_computed_once_at_construction(monkeypatch):
             evaluator.constraints(rng.random(problem.config.d))
         assert evaluator.n_point_evals == 4
         assert len(calls) == 1
+
+
+def test_only_mc_evaluators_sample(monkeypatch):
+    # Taylor and exact build no sampler. An mc run draws its sample once, at
+    # construction, and reuses it at every design point SLSQP evaluates.
+    import umdobench.driver as driver
+    from umdobench.uq import GaussianSampler, mc_estimate
+
+    built, draws = [], []
+
+    class CountedSampler(GaussianSampler):
+        def __init__(self, sigma_blocks):
+            built.append(1)
+            super().__init__(sigma_blocks)
+
+        def draw(self, m, seed):
+            draws.append((m, seed))
+            return super().draw(m, seed)
+
+    monkeypatch.setattr(driver, "GaussianSampler", CountedSampler)
+    problem = tuned_problem(3)
+    system, t = assemble(problem), problem.t
+    for estimator in ("taylor", "exact"):
+        optimize(RobustEvaluator(system, t, problem.uncertainty, MARGIN, estimator))
+        assert not built
+
+    evaluator = RobustEvaluator(
+        system, t, problem.uncertainty, MARGIN, "mc", m=50, seed=4,
+        mda_settings=MDASettings(method="direct"),
+    )
+    assert draws == [(50, 4)]
+    optimize(evaluator, OptimizerSettings(max_iter=20))
+    assert evaluator.n_point_evals > 2
+    assert draws == [(50, 4)]
+
+    def outputs(x, U):
+        Y = solve_mda(system, x, U, MDASettings(method="direct")).y
+        f = [x[0] ** 2 + y @ y for y in Y]
+        return np.column_stack([f, t - Y])
+
+    U = GaussianSampler(problem.uncertainty.sigma_blocks).draw(50, 4)
+    for x in (np.full(system.d, 0.3), np.full(system.d, 0.7)):
+        est = mc_estimate(outputs, x, U)
+        f, g = evaluator.evaluate(x)
+        assert f == est.mean[0]
+        assert np.array_equal(g, est.mean[1:] + 2.0 * est.std[1:])
 
 
 def test_exact_evaluator_is_bitwise_exact_stats():

@@ -286,3 +286,61 @@ def test_single_realization_is_a_block_of_one():
         assert one.iterations == block.iterations == int(block.row_iterations[0])
         assert one.residual_history == block.residual_history
         assert isinstance(one.iterations, int) and isinstance(one.converged, bool)
+
+
+# --- one evaluation of h per Jacobi sweep, and the residual it measures ----------
+
+
+def noisy_block(seed, m):
+    config = ProblemConfig(3, 1, (2, 2, 2), (4, 4, 4), coupling_strength=0.7, seed=seed)
+    system = assemble(generate(config))
+    rng = np.random.default_rng(seed)
+    U = 0.01 * rng.standard_normal((m, system.p)) * 10.0 ** rng.uniform(-6, 1, (m, 1))
+    return system, rng.random(system.d), U
+
+
+@pytest.mark.parametrize("m", [1, 20])
+def test_jacobi_sweep_evaluates_h_once(monkeypatch, m):
+    # s sweeps take s + 1 products with B: the first iterate's residual needs
+    # h(y_1), and every later h is also the next iterate.
+    import umdobench.mda as mda
+
+    system, x, U = noisy_block(seed=1, m=m)
+    B = system.iteration_matrix
+    products = []
+    original = mda._matvec
+
+    def counted(A, Y):
+        products.append(A is B)
+        return original(A, Y)
+
+    monkeypatch.setattr(mda, "_matvec", counted)
+    center = solve_mda(system, x).y
+    for settings in (MDASettings(tol=1e-8, max_iter=200), MDASettings(tol=1e-8, max_iter=5)):
+        for y0 in (None, center):
+            products.clear()
+            result = solve_mda(system, x, U if m > 1 else U[0], settings, y0)
+            sweeps = int(result.row_iterations.max())
+            assert sweeps == len(result.residual_history)
+            assert products == [True] * (sweeps + 1)
+
+
+@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
+def test_residual_is_y_minus_h_at_returned_iterate(method):
+    system, x, U = noisy_block(seed=2, m=20)
+    B = np.eye(system.p) - system.C
+    center = solve_mda(system, x).y
+    for settings in (MDASettings(method, tol=1e-6, max_iter=200), MDASettings(method, max_iter=3)):
+        for y0 in (None, center):
+            result = solve_mda(system, x, U, settings, y0)
+            res = np.array([
+                np.linalg.norm(y - (system.a - system.D @ x + u + B @ y))
+                for y, u in zip(result.y, U)
+            ])
+            assert result.residual == pytest.approx(res.max(), rel=1e-13)
+            # The last sweep swept only the rows that needed the most sweeps.
+            last = result.row_iterations == result.row_iterations.max()
+            assert result.residual_history[-1] == pytest.approx(res[last].max(), rel=1e-13)
+            one = solve_mda(system, x, U[0], settings, y0)
+            res_one = np.linalg.norm(one.y - (system.a - system.D @ x + U[0] + B @ one.y))
+            assert one.residual == one.residual_history[-1] == pytest.approx(res_one, rel=1e-13)

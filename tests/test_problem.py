@@ -1,5 +1,6 @@
 """Tests for problem generation, assembly, tuning and serialization."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -473,6 +474,27 @@ def test_deserialize_rejects_bad_inputs(small_config):
         with pytest.raises(ProblemFormatError) as err:
             deserialize(json.dumps(doc))
         assert err.value.field == field
+
+
+def test_deserialize_reads_exactly_the_config_fields(small_config):
+    # Every ProblemConfig field is read from the file (none falls back to its
+    # default), and a key that is no field is rejected by name.
+    payload = serialize(generate(small_config))
+    for field in dataclasses.fields(ProblemConfig):
+        doc = json.loads(payload)
+        del doc["config"][field.name]
+        with pytest.raises(ProblemFormatError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.field == f"config.{field.name}"
+    for key, value in (("coupling_strength", 0.25), ("feasibility_level", 0.75), ("seed", 7)):
+        doc = json.loads(payload)
+        doc["config"][key] = value
+        assert getattr(deserialize(json.dumps(doc)).config, key) == value
+    doc = json.loads(payload)
+    doc["config"]["coupling_strenght"] = 0.5
+    with pytest.raises(ProblemFormatError) as err:
+        deserialize(json.dumps(doc))
+    assert err.value.field == "config.coupling_strenght"
 
 
 def test_uncertainty_model_validation():

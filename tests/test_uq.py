@@ -120,7 +120,7 @@ def test_sampler_rejects_indefinite_block():
 
 def test_mc_constant_function_has_zero_std():
     est = mc_estimate(
-        lambda x, U: np.tile([3.0, -1.0], (len(U), 1)), None, scalar_sampler(), 50, seed=0
+        lambda x, U: np.tile([3.0, -1.0], (len(U), 1)), None, scalar_sampler().draw(50, 0)
     )
     assert np.array_equal(est.mean, [3.0, -1.0])
     assert np.array_equal(est.std, [0.0, 0.0])
@@ -130,7 +130,7 @@ def test_mc_constant_function_has_zero_std():
 
 def test_mc_standard_normal_moments():
     m = 100_000
-    est = mc_estimate(lambda x, U: U[:, 0], None, scalar_sampler(), m, seed=7)
+    est = mc_estimate(lambda x, U: U[:, 0], None, scalar_sampler().draw(m, 7))
     assert abs(est.mean[0]) <= 3.0 / np.sqrt(m)
     assert abs(est.std[0] - 1.0) <= 0.02
 
@@ -144,7 +144,7 @@ def test_mc_within_standard_errors_of_exact_oracle():
         return t - Y
 
     m = 200
-    est = mc_estimate(constraint_fn, np.full(system.d, 0.5), sampler, m, seed=11)
+    est = mc_estimate(constraint_fn, np.full(system.d, 0.5), sampler.draw(m, 11))
     tol = 3.0 * exact.constraints.std / np.sqrt(m)
     assert np.all(np.abs(est.mean - exact.constraints.mean) <= tol)
 
@@ -155,7 +155,7 @@ def test_mc_excludes_failing_realizations():
         values[values > 0.5] = np.nan  # synthetic non-convergence
         return values
 
-    est = mc_estimate(flaky, None, scalar_sampler(), 400, seed=5)
+    est = mc_estimate(flaky, None, scalar_sampler().draw(400, 5))
     assert est.n_failed > 0
     assert np.all(est.mean <= 0.5)
 
@@ -163,7 +163,7 @@ def test_mc_excludes_failing_realizations():
         return np.full(len(U), np.nan)
 
     with pytest.raises(NumericalError):
-        mc_estimate(always_fails, None, scalar_sampler(), 10, seed=5)
+        mc_estimate(always_fails, None, scalar_sampler().draw(10, 5))
 
 
 def test_mc_failure_accounting_matches_per_row_solves():
@@ -182,7 +182,7 @@ def test_mc_failure_accounting_matches_per_row_solves():
     center = solve_mda(system, x, settings=settings)
     rows = [
         solve_mda(system, x, u, settings, y0=center.y)
-        for u in evaluator.sampler.draw(evaluator.m, evaluator.seed)
+        for u in GaussianSampler(problem.uncertainty.sigma_blocks).draw(200, 3)
     ]
     kept = [row.y for row in rows if row.converged]
     n_failed = sum(not row.converged for row in rows)
@@ -210,7 +210,7 @@ def test_mc_drops_rows_with_nan_in_any_column():
         return values
 
     u = scalar_sampler().draw(400, 5)[:, 0]
-    est = mc_estimate(second_column_fails, None, scalar_sampler(), 400, seed=5)
+    est = mc_estimate(second_column_fails, None, scalar_sampler().draw(400, 5))
     assert est.n_failed == np.count_nonzero(u > 0.5) > 0
     assert est.mean[0] == est.mean[1] <= 0.5
 
@@ -222,19 +222,21 @@ def test_mc_needs_two_converged_rows():
         return values
 
     with pytest.raises(NumericalError):
-        mc_estimate(one_survivor, None, scalar_sampler(), 10, seed=5)
+        mc_estimate(one_survivor, None, scalar_sampler().draw(10, 5))
 
 
 def test_mc_rejects_wrong_output_shape():
     with pytest.raises(ValueError):
-        mc_estimate(lambda x, U: U[:-1], None, scalar_sampler(), 10, seed=0)
+        mc_estimate(lambda x, U: U[:-1], None, scalar_sampler().draw(10, 0))
     with pytest.raises(ValueError):
-        mc_estimate(lambda x, U: U[:, :, None], None, scalar_sampler(), 10, seed=0)
+        mc_estimate(lambda x, U: U[:, :, None], None, scalar_sampler().draw(10, 0))
 
 
 def test_mc_requires_two_samples():
     with pytest.raises(ValueError):
-        mc_estimate(lambda x, U: U, None, scalar_sampler(), 1, seed=0)
+        mc_estimate(lambda x, U: U, None, scalar_sampler().draw(1, 0))
+    with pytest.raises(ValueError):
+        mc_estimate(lambda x, U: U, None, np.zeros(10))
 
 
 def test_mc_margin_composition():
@@ -248,7 +250,7 @@ def test_mc_margin_composition():
     def constraint_fn(x, U):
         return t - solve_mda(system, x, U, DIRECT).y
 
-    est = mc_estimate(constraint_fn, x, sampler, 100, seed=2)
+    est = mc_estimate(constraint_fn, x, sampler.draw(100, 2))
     evaluator = RobustEvaluator(
         system, t, problem.uncertainty, spec, "mc", m=100, seed=2, mda_settings=DIRECT
     )
@@ -364,7 +366,7 @@ def test_mc_estimator_is_unbiased():
 
     runs, m = 200, 50
     means = [
-        mc_estimate(constraint_fn, x, sampler, m, seed=(1000 + r)).mean
+        mc_estimate(constraint_fn, x, sampler.draw(m, 1000 + r)).mean
         for r in range(runs)
     ]
     aggregate = np.mean(means, axis=0)
@@ -383,7 +385,7 @@ def test_all_estimators_agree_in_zero_noise_limit():
     def constraint_fn(x_, U):
         return t - solve_mda(system, x_, U, DIRECT).y
 
-    mc = mc_estimate(constraint_fn, x, sampler, 10, seed=0)
+    mc = mc_estimate(constraint_fn, x, sampler.draw(10, 0))
     # Without noise the margin collapses onto the mean.
     margin = StatisticSpec(constraint_stat="margin", kappa=2.0)
     taylor = RobustEvaluator(system, t, None, margin, "taylor", mda_settings=DIRECT)
