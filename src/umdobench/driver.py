@@ -76,7 +76,10 @@ class OptimizerSettings:
 class RunResult:
     """Outcome of one optimizer run on the statistic-wrapped problem.
 
-    ``message`` is SLSQP's stop reason.
+    ``message`` is SLSQP's stop reason. ``converged`` also requires that the
+    evaluation at ``x_opt`` converged (see
+    :attr:`RobustEvaluator.point_converged`), so a run whose reported values
+    rest on unconverged coupling solves never reads as converged.
     """
 
     x_opt: np.ndarray
@@ -104,7 +107,9 @@ class RobustEvaluator:
     i.e. one fixed-point iteration or one direct solve, counted per
     realization) and the dropped-realization counter. A Monte-Carlo design
     point costs one block coupling solve over all ``m`` realizations; the
-    deterministic estimators ignore ``m``.
+    deterministic estimators ignore ``m``. ``point_converged`` says whether
+    the cached evaluation converged: for ``taylor`` its coupling solve, for
+    ``mc`` every realization's (none was dropped); ``exact`` solves none.
 
     No solver state is carried between design points: every coupling solve
     starts from an iterate computed at the same point, so each evaluation is
@@ -160,6 +165,7 @@ class RobustEvaluator:
         self._cache_key = None
         self._cache_value = None
         self._cache_y = None
+        self.point_converged = True
 
     # -- per-sample physics -----------------------------------------------
 
@@ -187,14 +193,15 @@ class RobustEvaluator:
                 alpha, beta, _ = self.system.linear_map
                 y = alpha + beta @ x
                 self.n_discipline_evals += 1
+                converged = True
             else:
                 result = solve_mda(self.system, x, settings=self.mda_settings)
                 self.n_discipline_evals += result.iterations + 1
-                y = result.y
+                y, converged = result.y, result.converged
             x0 = x[: self.system.d_shared]
             f = float(x0 @ x0 + y @ y + self._noise_energy)
             g = composed_value(self.t - y, self._std, self.spec)
-            return f, g, y
+            return f, g, y, converged
 
         # Warm start every realization from the mean-noise solution at this
         # same point, so the value at x does not depend on the points
@@ -209,7 +216,7 @@ class RobustEvaluator:
         f = float(est.mean[0])
         g = composed_value(est.mean[1:], est.std[1:], self.spec)
         # The mean of the kept rows' outputs.
-        return f, g, self.t - est.mean[1:]
+        return f, g, self.t - est.mean[1:], est.n_failed == 0
 
     def evaluate(self, x):
         """Objective and constraint statistics at x, cached per point with
@@ -217,7 +224,7 @@ class RobustEvaluator:
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         if key != self._cache_key:
-            f, g, self._cache_y = self._evaluate_point(x)
+            f, g, self._cache_y, self.point_converged = self._evaluate_point(x)
             self._cache_value = f, g
             self._cache_key = key
             self.n_point_evals += 1
@@ -269,8 +276,9 @@ def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = No
 
     Runs SLSQP on the evaluator's values and analytic gradients, with the
     box as bounds, and returns its final iterate. ``converged`` is True when
-    SLSQP reports success and every constraint is below ``g_tol``;
-    ``message`` says why the run stopped.
+    SLSQP reports success, every constraint is below ``g_tol`` and the
+    evaluation at the final iterate converged; ``message`` says why SLSQP
+    stopped.
     """
     if settings is None:
         settings = OptimizerSettings()
@@ -310,7 +318,9 @@ def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = No
         g_opt=g_opt,
         n_discipline_evals=evaluator.n_discipline_evals - evals_before,
         n_optimizer_iters=int(res.nit),
-        converged=bool(res.success) and float(np.max(g_opt)) <= settings.g_tol,
+        converged=bool(res.success)
+        and float(np.max(g_opt)) <= settings.g_tol
+        and evaluator.point_converged,
         message=str(res.message),
         estimator=evaluator.estimator,
         wall_time=wall,

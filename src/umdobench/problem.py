@@ -19,9 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 import math
-import re
 import warnings
 from dataclasses import asdict, dataclass, fields
 
@@ -50,8 +48,6 @@ __all__ = [
     "FORMAT_VERSION",
     "MAX_MATRIX_ELEMENTS",
 ]
-
-logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 
@@ -471,15 +467,68 @@ def tune_feasibility(
 # --- JSON problem files ------------------------------------------------------
 #
 # Floats are rendered with 17 significant digits, which round-trips IEEE-754
-# doubles exactly, so serialize/deserialize is a bitwise identity. The one
-# exception to ``format(x, ".17g")`` is -0.0: it would print as ``-0``, which
-# JSON reads back as the int 0, so it is written as ``-0.0`` instead.
-# Arrays are checked for non-finite values once and formatted in one pass,
-# with a single ``%``-format over all their elements; the bytes are the same
-# as formatting each element with :func:`_fmt_float`.
+# doubles exactly, so serialize/deserialize is a bitwise identity. The text of
+# a float is ``format(x, ".17g")``, except that -0.0, which would print as
+# ``-0`` and read back as the int 0, is written as ``-0.0``.
+#
+# ``_pieces`` walks the document once into literal text and the 1-D or 2-D
+# arrays, and cuts the arrays' values, in document order, into chunks of
+# ``_CHUNK`` values, so the working set stays at a few hundred KiB at any
+# problem size. ``serialize`` joins the pieces and ``problem_digest`` hashes
+# them one at a time. A chunk is formatted by ``umdobench._floatfmt``, an
+# exact numpy kernel that writes the same text; a chunk of fewer than
+# ``_MIN_KERNEL`` values (a whole small problem, or the tail of a larger one)
+# takes one ``%``-format instead, which at that size costs less than numpy's
+# per-call overhead, unless it holds a -0.0. Both sizes come from timing the
+# two paths on uniform values: the kernel's cost per value is lowest from
+# about 4 096 to 8 192 values per call and rises for larger chunks, and it
+# undercuts the ``%``-format from about 250 values up (100 µs each at 250
+# values, 200 against 290 µs at 400). ``_floatfmt`` is imported when a chunk
+# first needs it, so a process that writes only small files never compiles
+# it.
 
-# A ``-0`` token in ``%.17g`` output: no digit, point or exponent follows it.
-_NEG_ZERO = re.compile(r"-0(?![.\de])")
+_CHUNK = 4096
+_MIN_KERNEL = 256
+
+# The separator after a value of a 1-D or 2-D array: inside a row, at the end
+# of a row, and at the end of the array (whose closing brackets are literal
+# text). ``_floatfmt`` lays out the same three by their index.
+_SEPARATORS = (", ", "], [", "")
+
+
+def _separators(arr, lo, hi):
+    """Separator codes after the values at flat indices ``lo:hi`` of ``arr``."""
+    seps = np.zeros(hi - lo, dtype=np.intp)
+    if arr.ndim == 2:
+        row = arr.shape[1]
+        seps[(row - 1 - lo) % row :: row] = 1
+    if hi == arr.size:
+        seps[-1] = 2
+    return seps
+
+
+_PERCENT = tuple("%.17g" + sep for sep in _SEPARATORS)
+
+
+def _format_chunk(chunk):
+    """Yield the text of ``(literal, values, separators)`` segments, in order."""
+    values = np.concatenate([v for _, v, _ in chunk])
+    if values.size < _MIN_KERNEL and not np.signbit(values[values == 0.0]).any():
+        template = "".join(
+            literal.replace("%", "%%") + "".join([_PERCENT[s] for s in seps.tolist()])
+            for literal, _, seps in chunk
+        )
+        yield (template % tuple(values.tolist())).encode("ascii")
+        return
+    from ._floatfmt import format_values  # compiled when a chunk first needs it
+
+    text, ends = format_values(values, np.concatenate([s for _, _, s in chunk]))
+    start = stop = 0
+    for literal, v, _ in chunk:
+        stop += v.size
+        yield literal.encode("ascii")
+        yield text[start : ends[stop - 1]]
+        start = ends[stop - 1]
 
 
 def _fmt_float(x) -> str:
@@ -490,41 +539,76 @@ def _fmt_float(x) -> str:
     return "-0.0" if text == "-0" else text
 
 
-def _fmt_array(arr) -> str:
-    arr = np.asarray(arr, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("cannot serialize non-finite value")
-    template = "%.17g"
-    for n in reversed(arr.shape):
-        template = "[" + ", ".join([template] * n) + "]"
-    text = template % tuple(arr.ravel().tolist())
-    if np.signbit(arr[arr == 0.0]).any():
-        text = _NEG_ZERO.sub("-0.0", text)
-    return text
+def _tokens(obj, out):
+    """Append the JSON text of ``obj`` to ``out`` as literal strings, and as
+    the 1-D or 2-D float arrays whose values, with the separators between
+    them, are still to be formatted."""
+    if isinstance(obj, np.ndarray):
+        arr = np.asarray(obj, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("cannot serialize non-finite value")
+        if arr.ndim == 0:
+            out.append(_fmt_float(arr))
+        elif arr.ndim > 2 or arr.size == 0:  # as lists of its sub-arrays
+            _tokens(list(arr), out)
+        else:
+            out += ("[" * arr.ndim, arr, "]" * arr.ndim)
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(f"{', ' if i else ''}{json.dumps(k)}: ")
+            _tokens(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(", ")
+            _tokens(v, out)
+        out.append("]")
+    elif isinstance(obj, (bool, type(None))):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _pieces(obj):
+    """Yield the canonical JSON text of ``obj`` as bytes-like pieces, in
+    order, formatting its array values in chunks of ``_CHUNK``."""
+    tokens = []
+    _tokens(obj, tokens)
+    chunk, literal, size = [], [], 0
+    for token in tokens:
+        if isinstance(token, str):
+            literal.append(token)
+            continue
+        flat = token.ravel()
+        lo = 0
+        while lo < flat.size:
+            hi = min(flat.size, lo + _CHUNK - size)
+            chunk.append(("".join(literal), flat[lo:hi], _separators(token, lo, hi)))
+            literal, size, lo = [], size + hi - lo, hi
+            if size == _CHUNK:
+                yield from _format_chunk(chunk)
+                chunk, size = [], 0
+    if chunk:
+        yield from _format_chunk(chunk)
+    yield "".join(literal).encode("ascii")
 
 
 def _emit(obj) -> str:
-    if isinstance(obj, np.ndarray):
-        return _fmt_array(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_emit(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, (bool, type(None))):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Canonical JSON text of ``obj``; arrays are nested lists of floats."""
+    return b"".join(_pieces(obj)).decode("ascii")
 
 
-def serialize(problem: ScalableProblem) -> bytes:
-    """Render a problem as canonical JSON bytes (17-significant-digit floats)."""
-    doc = {
+def _document(problem: ScalableProblem) -> dict:
+    return {
         "version": FORMAT_VERSION,
         "config": asdict(problem.config),
         "a": problem.a,
@@ -538,7 +622,11 @@ def serialize(problem: ScalableProblem) -> bytes:
             None if problem.uncertainty is None else problem.uncertainty.sigma_blocks
         ),
     }
-    return _emit(doc).encode("ascii")
+
+
+def serialize(problem: ScalableProblem) -> bytes:
+    """Render a problem as canonical JSON bytes (17-significant-digit floats)."""
+    return b"".join(_pieces(_document(problem)))
 
 
 def _require(mapping, key, path):
@@ -710,5 +798,12 @@ def deserialize(data: bytes | str) -> ScalableProblem:
 
 
 def problem_digest(problem: ScalableProblem) -> str:
-    """SHA-256 hex digest of the canonical serialization."""
-    return hashlib.sha256(serialize(problem)).hexdigest()
+    """SHA-256 hex digest of the canonical serialization.
+
+    Equal to ``sha256(serialize(problem))``, but the text is hashed piece by
+    piece as it is formatted, so the file is never held whole.
+    """
+    digest = hashlib.sha256()
+    for piece in _pieces(_document(problem)):
+        digest.update(piece)
+    return digest.hexdigest()

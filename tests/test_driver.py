@@ -474,3 +474,25 @@ def test_discipline_eval_accounting_with_iterative_mda():
     assert evaluator.n_point_evals == 1
     assert evaluator.n_discipline_evals >= 20 * 2
     assert evaluator.n_failed_samples == 0
+
+
+@pytest.mark.parametrize("estimator", ["taylor", "mc"])
+def test_unconverged_coupling_solves_make_an_unconverged_run(estimator):
+    # At coupling strength 0.9 a Jacobi solve on this instance needs about 57
+    # sweeps, so the default budget of 30 stops every Taylor solve and drops
+    # MC realizations. SLSQP still reports success on those values.
+    config = ProblemConfig(2, 1, (2, 2), (3, 3), coupling_strength=0.9, seed=70)
+    problem = generate(config)
+    problem.uncertainty = UncertaintyModel.isotropic(config.p_coupling, 0.01)
+    tune_feasibility(problem, quantile_seed=71)
+    system = assemble(problem)
+    for mda, converged in ((MDASettings(), False), (MDASettings(max_iter=200), True)):
+        evaluator = RobustEvaluator(
+            system, problem.t, problem.uncertainty, MARGIN, estimator, m=200, seed=1000,
+            mda_settings=mda,
+        )
+        run = optimize(evaluator)
+        assert evaluator.point_converged is converged
+        assert run.converged is converged
+        if estimator == "mc":
+            assert (evaluator.n_failed_samples == 0) is converged

@@ -36,6 +36,29 @@ def test_import_defers_unused_modules():
     assert result.stdout.strip() == ""
 
 
+def test_import_defers_the_array_formatter():
+    # Without cached bytecode, compiling umdobench._floatfmt costs a few ms
+    # and about 1 MiB of peak memory; only a file with a chunk of
+    # _MIN_KERNEL values or more needs it, and the p = 6 problems never do.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, numpy, umdobench, umdobench.cli\n"
+        "from umdobench.problem import _MIN_KERNEL, _emit\n"
+        "loaded = lambda: 'umdobench._floatfmt' in sys.modules\n"
+        "states = [loaded()]\n"
+        "umdobench.problem_digest(umdobench.default_benchmark_problem())\n"
+        "states.append(loaded())\n"
+        "_emit(numpy.arange(float(_MIN_KERNEL)))\n"
+        "print(*states, loaded())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False", "True"]
+
+
 def test_public_names_resolve():
     # Each submodule's __all__ names only what it defines, and the package
     # root re-exports only names that some submodule declares public.

@@ -23,7 +23,7 @@ from umdobench import (
     serialize,
     tune_feasibility,
 )
-from umdobench.problem import _emit
+from umdobench.problem import _CHUNK as CHUNK, _MIN_KERNEL as MIN_KERNEL, _emit
 from conftest import make_toy_problem
 from oracles import draw_reference_instance
 
@@ -334,6 +334,119 @@ def test_array_format_matches_per_element_format():
             assert np.array_equal(restored, arr)
             assert np.array_equal(np.signbit(restored), np.signbit(arr))
     assert _emit(special).startswith("[-0.0, 0, 4.9406564584124654e-324, ")
+
+
+def _kernel_inputs():
+    """Values whose 17-digit text is easy to get wrong: random bit patterns,
+    neighbours of every decade, exact ties, subnormals, extremes, zeros."""
+    rng = np.random.default_rng(16)
+    bits = rng.integers(0, 2**64, size=12_000, dtype=np.uint64).view(np.float64)
+    decades = 10.0 ** np.arange(-8, 19)
+    near = [decades]
+    for direction in (np.inf, -np.inf):
+        x = decades
+        for _ in range(3):
+            x = np.nextafter(x, direction)
+            near.append(x)
+    # k/4 in [1e15, 2**50) and k/8 in [1e14, 2**47) sit exactly half-way
+    # between two 17-digit decimals when k is odd.
+    ties = [
+        rng.integers(4 * 10**15, 2**52, size=2_000) / 4.0,
+        rng.integers(8 * 10**14, 2**50, size=2_000) / 8.0,
+    ]
+    tiny = np.finfo(float).tiny
+    special = np.array([
+        5e-324, tiny, np.nextafter(tiny, 0.0), np.finfo(float).max,
+        1e-5, 1e-6, 1e-7, 0.5, 1.0, 1.0 / 3.0, 2.0**53, 1e17 - 16.0,
+    ])
+    values = np.concatenate([bits[np.isfinite(bits)], *near, *ties, special])
+    values = values[values != 0.0]
+    values[rng.random(values.size) < 0.5] *= -1.0
+    rng.shuffle(values)
+    return np.concatenate([[0.0, -0.0], values])
+
+
+def _document_text(doc):
+    return "[" + ", ".join(_per_element(arr) for arr in doc) + "]"
+
+
+def _assert_same_text(got, want):
+    # A plain == would make pytest diff two texts of up to 200 kB.
+    same = got == want
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    assert same, f"first difference at {at}: {got[at - 30 : at + 30]!r} != {want[at - 30 : at + 30]!r}"
+
+
+@pytest.mark.parametrize(
+    "size",
+    [2, MIN_KERNEL - 1, MIN_KERNEL, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + MIN_KERNEL // 2],
+)
+def test_array_kernel_matches_per_element_format(size):
+    values = _kernel_inputs()
+    # The head starts with 0.0 and -0.0, so every chunk of it takes the
+    # kernel; the tail holds no -0.0, so its chunks below MIN_KERNEL values
+    # take the %-format.
+    for part in (values[:size], values[-size:]):
+        _assert_same_text(_emit(part), _per_element(part))
+        # The same values cut into arrays of the shapes serialize writes, so
+        # that full chunks and the %-format tail cross arrays.
+        r = size // 7
+        cut = 2 * r + (size - 2 * r) // 5 * 5
+        doc = [
+            part[:r],
+            part[r : 2 * r].reshape(r, 1),
+            part[2 * r : cut].reshape(-1, 5),
+            np.zeros((0, 3)),
+            part[cut:],
+        ]
+        _assert_same_text(_emit(doc), _document_text(doc))
+
+
+def test_array_kernel_covers_every_exponent_and_the_fallback():
+    values = _kernel_inputs()
+    text = _emit(values)
+    _assert_same_text(text, _per_element(values))
+    assert text.startswith("[0, -0.0, ")
+    for token in ("e-05", "e-06", "e-07", "e+17", "e-308", "e-324", "e+308"):
+        assert token in text
+
+
+_DIGEST_CONFIGS = {
+    6: ProblemConfig(2, 1, (2, 2), (3, 3), seed=70),
+    60: ProblemConfig(3, 1, (2, 2, 2), (20, 20, 20), seed=60),
+    400: ProblemConfig(4, 1, (2,) * 4, (100,) * 4, seed=5),
+    600: ProblemConfig(20, 1, (5,) * 20, (30,) * 20, seed=3),
+}
+
+
+def _tuned_with_noise(config):
+    problem = generate(config)
+    problem.uncertainty = UncertaintyModel.isotropic(config.p_coupling, 0.01)
+    tune_feasibility(problem, quantile_seed=config.seed + 1)
+    return problem
+
+
+@pytest.mark.parametrize("p", sorted(_DIGEST_CONFIGS))
+def test_problem_digest_is_sha256_of_the_file(p):
+    problem = _tuned_with_noise(_DIGEST_CONFIGS[p])
+    assert problem.config.p == p
+    blob = serialize(problem)
+    assert problem_digest(problem) == hashlib.sha256(blob).hexdigest()
+    assert deserialize(blob) == problem
+
+
+def test_problem_digest_streams_the_file():
+    # The digest never holds the 8.2 MB file; hashing the whole text at once
+    # peaks at 23.5 MiB here.
+    problem = _tuned_with_noise(_DIGEST_CONFIGS[600])
+    problem_digest(problem)
+    tracemalloc.start()
+    try:
+        problem_digest(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_negative_zero_roundtrips_bitwise(small_config):
