@@ -56,20 +56,17 @@ class OptimizerSettings:
 
     ``max_iter`` caps SLSQP's iterations. ``g_tol`` is the feasibility
     tolerance on the composed constraints that a run must meet to count as
-    converged. ``x0`` defaults to the midpoint of the unit box.
+    converged. Every run starts at the midpoint of the unit box.
     """
 
     max_iter: int = 100
     g_tol: float = 1e-4
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not self.g_tol > 0:
             raise ValueError("g_tol must be > 0")
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
 @dataclass
@@ -127,7 +124,9 @@ class RobustEvaluator:
     than from the first evaluation:
 
     * ``mc``: the (m, p) noise sample, one ``GaussianSampler.draw(m, seed)``
-      that every design point reuses.
+      that every design point reuses; ``m`` and ``seed`` serve only this
+      draw. Under a fixed-point method every realization starts from the
+      mean-noise solution at the same point, one more coupling solve.
     * ``exact`` and ``taylor``: the propagated constraint std and, for
       ``exact``, the noise energy (a singular coupling matrix or a negative
       propagated variance raises here). These two estimators differ only in
@@ -145,12 +144,10 @@ class RobustEvaluator:
         self.t = t
         self.spec = spec
         self.estimator = estimator
-        self.m = m
-        self.seed = seed
         self.mda_settings = mda_settings or MDASettings()
         if estimator == "mc":
             # Common random numbers: one sample serves every design point.
-            self._samples = GaussianSampler(model.sigma_blocks).draw(m, seed)
+            self._samples = GaussianSampler(model).draw(m, seed)
         else:
             # Constraints are linear in the noise with gradient -P', so the
             # first-order std is exact. The Taylor objective is the value at
@@ -205,9 +202,9 @@ class RobustEvaluator:
 
         # Warm start every realization from the mean-noise solution at this
         # same point, so the value at x does not depend on the points
-        # evaluated before it.
+        # evaluated before it. The direct method needs no start.
         y0 = None
-        if self.mda_settings.warm_start and self.mda_settings.method != "direct":
+        if self.mda_settings.method != "direct":
             center = solve_mda(self.system, x, settings=self.mda_settings)
             self.n_discipline_evals += center.iterations
             y0 = center.y
@@ -274,19 +271,15 @@ def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = No
     """Minimize the evaluator's objective subject to its constraints <= 0
     and the unit box, in the evaluator's ``system.d`` design variables.
 
-    Runs SLSQP on the evaluator's values and analytic gradients, with the
-    box as bounds, and returns its final iterate. ``converged`` is True when
-    SLSQP reports success, every constraint is below ``g_tol`` and the
-    evaluation at the final iterate converged; ``message`` says why SLSQP
-    stopped.
+    Runs SLSQP from the midpoint of the box on the evaluator's values and
+    analytic gradients, with the box as bounds, and returns its final
+    iterate. ``converged`` is True when SLSQP reports success, every
+    constraint is below ``g_tol`` and the evaluation at the final iterate
+    converged; ``message`` says why SLSQP stopped.
     """
     if settings is None:
         settings = OptimizerSettings()
     dim = evaluator.system.d
-    x0 = settings.x0 if settings.x0 is not None else np.full(dim, 0.5)
-    if x0.shape != (dim,):
-        raise ValueError(f"x0 must have shape ({dim},), got {x0.shape}")
-
     evals_before = evaluator.n_discipline_evals
 
     # Local so that importing the package does not load scipy.optimize.
@@ -295,7 +288,7 @@ def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = No
     start = time.perf_counter()
     res = scipy.optimize.minimize(
         evaluator.objective,
-        x0,
+        np.full(dim, 0.5),
         method="SLSQP",
         jac=lambda x: evaluator.gradient(x)[0],
         bounds=[(0.0, 1.0)] * dim,

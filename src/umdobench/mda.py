@@ -42,17 +42,11 @@ class MDASettings:
     number of fixed-point sweeps. A Jacobi solve of s sweeps evaluates h
     s + 1 times, because each sweep's next iterate is the h its residual
     needed.
-    ``warm_start`` lets callers start the fixed-point methods from a nearby
-    coupling vector instead of zero; the Monte-Carlo estimator of
-    :class:`~umdobench.driver.RobustEvaluator` then starts every realization
-    from the mean-noise solution at the same design point. The direct method
-    ignores it.
     """
 
     method: str = "jacobi"
     tol: float = 1e-4
     max_iter: int = 30
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.method not in _METHODS:

@@ -204,9 +204,31 @@ class ScalableProblem:
     uncertainty: UncertaintyModel | None = None
 
     def __eq__(self, other):
+        """Bitwise equality: the same config, threshold bits, coupling-block
+        keys and arrays (dtype, shape and bytes, so ``-0.0 != 0.0``). A
+        problem without a noise model differs from one with zero noise."""
         if not isinstance(other, ScalableProblem):
             return NotImplemented
-        return serialize(self) == serialize(other)
+        mine, theirs = _arrays(self), _arrays(other)
+        return (
+            self.config == other.config
+            and float(self.t).hex() == float(other.t).hex()
+            and sorted(self.C_blocks) == sorted(other.C_blocks)
+            and (self.uncertainty is None) == (other.uncertainty is None)
+            and len(mine) == len(theirs)
+            and all(
+                a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                for a, b in zip(mine, theirs)
+            )
+        )
+
+
+def _arrays(problem: ScalableProblem) -> list[np.ndarray]:
+    """Every array of ``problem`` in file order, coupling blocks by key."""
+    blocks = [problem.C_blocks[k] for k in sorted(problem.C_blocks)]
+    sigma = () if problem.uncertainty is None else problem.uncertainty.sigma_blocks
+    arrays = (problem.a, *problem.D_shared, *problem.D_local, *blocks, *sigma)
+    return [np.asarray(v) for v in arrays]
 
 
 class BlockSystem:
@@ -214,20 +236,20 @@ class BlockSystem:
 
     ``C`` carries identity diagonal blocks and the negated coupling blocks
     off the diagonal; ``D`` has its first ``d_shared`` columns dense and the
-    remaining columns block diagonal; ``Qx0`` selects the shared design
-    variables in the quadratic objective. The LU factorization of ``C`` and
-    the derived linear maps are computed lazily and cached; the propagated
-    output variances are computed on request by :meth:`output_variance`.
+    remaining columns block diagonal. ``d_shared`` alone says which design
+    variables are shared: the first ``d_shared``, whose squares the objective
+    sums with those of the coupling outputs. The LU factorization of ``C``
+    and the derived linear maps are computed lazily and cached; the
+    propagated output variances are computed on request by
+    :meth:`output_variance`.
     """
 
-    def __init__(self, C, D, a, Qx0, p_coupling, d_shared, d_local):
+    def __init__(self, C, D, a, p_coupling, d_shared):
         self.C = np.asarray(C, dtype=float)
         self.D = np.asarray(D, dtype=float)
         self.a = np.asarray(a, dtype=float)
-        self.Qx0 = np.asarray(Qx0, dtype=float)
         self.p_coupling = tuple(p_coupling)
         self.d_shared = int(d_shared)
-        self.d_local = tuple(d_local)
 
     @property
     def p(self) -> int:
@@ -319,17 +341,7 @@ class BlockSystem:
         return np.maximum(var, 0.0)
 
 
-def _capacity_check(config: ProblemConfig, max_elements: int) -> None:
-    p, d = config.p, config.d
-    needed = p * (p + d)
-    if needed > max_elements:
-        raise CapacityError(
-            f"problem needs {needed} matrix elements for p={p}, d={d}; "
-            f"cap is {max_elements}"
-        )
-
-
-def generate(config: ProblemConfig, max_elements: int = MAX_MATRIX_ELEMENTS) -> ScalableProblem:
+def generate(config: ProblemConfig) -> ScalableProblem:
     """Draw a random problem instance from a configuration.
 
     All entries of the constant vector, the design coefficient blocks and the
@@ -350,9 +362,15 @@ def generate(config: ProblemConfig, max_elements: int = MAX_MATRIX_ELEMENTS) -> 
     Raises
     ------
     CapacityError
-        If the assembled system would exceed ``max_elements`` matrix entries.
+        If the assembled system would exceed ``MAX_MATRIX_ELEMENTS`` matrix
+        entries; raised before anything is drawn.
     """
-    _capacity_check(config, max_elements)
+    p, d = config.p, config.d
+    if p * (p + d) > MAX_MATRIX_ELEMENTS:
+        raise CapacityError(
+            f"problem needs {p * (p + d)} matrix elements for p={p}, d={d}; "
+            f"cap is {MAX_MATRIX_ELEMENTS}"
+        )
     n = config.n_disciplines
     rng = np.random.default_rng(config.seed)
 
@@ -405,17 +423,12 @@ def assemble(problem: ScalableProblem) -> BlockSystem:
         D[row_off[i]:row_off[i + 1], col:col + cfg.d_local[i]] = problem.D_local[i]
         col += cfg.d_local[i]
 
-    Qx0 = np.zeros((d, d))
-    Qx0[: cfg.d_shared, : cfg.d_shared] = np.eye(cfg.d_shared)
-
     return BlockSystem(
         C=C,
         D=D,
         a=problem.a.copy(),
-        Qx0=Qx0,
         p_coupling=cfg.p_coupling,
         d_shared=cfg.d_shared,
-        d_local=cfg.d_local,
     )
 
 

@@ -5,10 +5,11 @@ deterministic problem into a box-constrained convex QP
 
     min 0.5 x'Qx + c'x + d0   s.t.  A x <= b,  lower <= x <= upper
 
-with Q = 2(Qx0 + beta'beta), c = 2 beta'alpha, d0 = alpha'alpha, A = -beta
-and b = alpha - t. The robust variants keep Q, c and A and only move the
-right-hand side by kappa propagated standard deviations of each coupling
-output (:func:`reduce_margin`): kappa = 0 for the expectation, the margin
+with Q = 2(beta'beta + I_s), c = 2 beta'alpha, d0 = alpha'alpha, A = -beta
+and b = alpha - t, where I_s is the identity on the first d_shared (shared)
+design variables and zero elsewhere. The robust variants keep Q, c and A
+and only move the right-hand side by kappa propagated standard deviations
+of each coupling output (:func:`reduce_margin`): kappa = 0 for the expectation, the margin
 width for the margin, and kappa = -Phi^-1(epsilon) for the Gaussian chance
 constraint at level epsilon (:func:`reduce_probability`). The shift reads
 the noise only through the propagated variances diag(P Sigma P') of
@@ -131,7 +132,9 @@ def reduce_deterministic(system, t: float) -> QPData:
     j of ``A x - b`` equals ``t - y_j(x)``.
     """
     alpha, beta, _ = system.linear_map
-    Q = 2.0 * (system.Qx0 + beta.T @ beta)
+    Q = 2.0 * (beta.T @ beta)
+    shared = np.arange(system.d_shared)
+    Q[shared, shared] += 2.0
     c = 2.0 * beta.T @ alpha
     d0 = float(alpha @ alpha)
     A = -beta
@@ -202,14 +205,14 @@ def solve_qp(
     qp: QPData,
     tol: float = 1e-9,
     max_iter: int = 100,
-    x0=None,
 ) -> QPSolution:
     """Solve the QP with a predictor-corrector interior-point method.
 
-    The box is folded into the inequality system and the slack/dual pair is
-    driven along the central path; each iteration factors the dense normal
-    matrix ``Q + G' W G`` (always positive definite thanks to the box rows)
-    and takes a Mehrotra predictor plus corrector step with a 0.995
+    The iterate starts at the midpoint of the box. The box is folded into
+    the inequality system and the slack/dual pair is driven along the
+    central path; each iteration factors the dense normal matrix
+    ``Q + G' W G`` (always positive definite thanks to the box rows) and
+    takes a Mehrotra predictor plus corrector step with a 0.995
     fraction-to-boundary rule. Convergence is declared when the maximum of
     the stationarity, primal-feasibility and complementarity residuals drops
     below ``tol``.
@@ -222,12 +225,7 @@ def solve_qp(
     d, m = qp.dim, G.shape[0]
     Q, c = qp.Q, qp.c
 
-    if x0 is None:
-        x = 0.5 * (qp.lower + qp.upper)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        span = qp.upper - qp.lower
-        x = np.clip(x, qp.lower + 1e-3 * span, qp.upper - 1e-3 * span)
+    x = 0.5 * (qp.lower + qp.upper)
     s = np.maximum(h - G @ x, 1e-2)
     z = np.ones(m)
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .problem import UncertaintyModel
 
 __all__ = [
     "StatisticSpec",
@@ -113,23 +114,20 @@ def composed_value(mean, std, spec: StatisticSpec | None) -> np.ndarray:
 
 
 class GaussianSampler:
-    """Centered Gaussian noise with independent per-discipline blocks.
+    """Centered Gaussian noise drawn from an
+    :class:`~umdobench.problem.UncertaintyModel`.
 
-    Each block covariance is factored once (eigenvalue factorization, robust
-    to semi-definite blocks) and realizations are drawn block by block from a
-    PCG64 stream, so draws are reproducible functions of the seed.
+    The model has already checked that its blocks are square, symmetric and
+    positive semi-definite. Each block covariance is factored once
+    (eigenvalue factorization, robust to semi-definite blocks) and
+    realizations are drawn block by block from a PCG64 stream, so draws are
+    reproducible functions of the seed.
     """
 
-    def __init__(self, sigma_blocks):
-        self.sigma_blocks = tuple(np.asarray(b, dtype=float) for b in sigma_blocks)
+    def __init__(self, model: UncertaintyModel):
         self._factors = []
-        for i, block in enumerate(self.sigma_blocks):
-            if block.ndim != 2 or block.shape[0] != block.shape[1]:
-                raise ValueError(f"sigma block {i} is not square")
-            sym = 0.5 * (block + block.T)
-            w, v = np.linalg.eigh(sym)
-            if w.size and w.min() < -1e-12 * max(1.0, abs(w).max()):
-                raise ValueError(f"sigma block {i} is not positive semi-definite")
+        for block in model.sigma_blocks:
+            w, v = np.linalg.eigh(0.5 * (block + block.T))
             self._factors.append(v * np.sqrt(np.maximum(w, 0.0)))
 
     def draw(self, m: int, seed) -> np.ndarray:

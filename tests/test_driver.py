@@ -21,7 +21,7 @@ from umdobench.driver import (
 )
 from umdobench.mda import MDASettings, solve_mda
 from umdobench.qp import QPSolution, reduce_deterministic, reduce_margin, solve_qp
-from umdobench.uq import StatisticSpec, exact_stats
+from umdobench.uq import GaussianSampler, StatisticSpec, exact_stats
 
 
 def tuned_problem(seed=0, std=0.01):
@@ -139,14 +139,14 @@ def test_only_mc_evaluators_sample(monkeypatch):
     # Taylor and exact build no sampler. An mc run draws its sample once, at
     # construction, and reuses it at every design point SLSQP evaluates.
     import umdobench.driver as driver
-    from umdobench.uq import GaussianSampler, mc_estimate
+    from umdobench.uq import mc_estimate
 
     built, draws = [], []
 
     class CountedSampler(GaussianSampler):
-        def __init__(self, sigma_blocks):
+        def __init__(self, model):
             built.append(1)
-            super().__init__(sigma_blocks)
+            super().__init__(model)
 
         def draw(self, m, seed):
             draws.append((m, seed))
@@ -173,7 +173,7 @@ def test_only_mc_evaluators_sample(monkeypatch):
         f = [x[0] ** 2 + y @ y for y in Y]
         return np.column_stack([f, t - Y])
 
-    U = GaussianSampler(problem.uncertainty.sigma_blocks).draw(50, 4)
+    U = GaussianSampler(problem.uncertainty).draw(50, 4)
     for x in (np.full(system.d, 0.3), np.full(system.d, 0.7)):
         est = mc_estimate(outputs, x, U)
         f, g = evaluator.evaluate(x)
@@ -343,32 +343,30 @@ def test_evaluation_does_not_depend_on_earlier_points(estimator):
 def line_evaluator(a, D, t):
     """Noise-free exact evaluator of one shared design variable x and one
     coupling output y = a - D x: objective x^2 + y^2, constraint t - y <= 0."""
-    system = BlockSystem(
-        C=[[1.0]], D=[[D]], a=[a], Qx0=[[1.0]], p_coupling=(1,), d_shared=1, d_local=(0,)
-    )
+    system = BlockSystem(C=[[1.0]], D=[[D]], a=[a], p_coupling=(1,), d_shared=1)
     return RobustEvaluator(system, t, None, MARGIN, "exact")
 
 
 def test_optimize_unconstrained_quadratic():
-    # y = 0.6 - x: the objective x^2 + (0.6 - x)^2 is least at x = 0.3, and
-    # the constraint y >= -1 holds on the whole box.
-    settings = OptimizerSettings(x0=np.array([0.9]))
-    result = optimize(line_evaluator(0.6, 1.0, -1.0), settings)
+    # y = 0.6 - x: the objective x^2 + (0.6 - x)^2 is least at x = 0.3, away
+    # from the start at 0.5, and the constraint y >= -1 holds on the whole box.
+    result = optimize(line_evaluator(0.6, 1.0, -1.0))
     assert result.converged
     assert abs(result.x_opt[0] - 0.3) <= 1e-4
 
 
 def test_optimize_active_constraint():
-    # y = x: minimize 2 x^2 subject to 0.5 - x <= 0.
-    result = optimize(line_evaluator(0.0, -1.0, 0.5), OptimizerSettings(x0=np.array([0.8])))
+    # y = x: minimize 2 x^2 subject to 0.7 - x <= 0, from the infeasible
+    # start x = 0.5.
+    result = optimize(line_evaluator(0.0, -1.0, 0.7))
     assert result.converged
-    assert abs(result.x_opt[0] - 0.5) <= 1e-4
+    assert abs(result.x_opt[0] - 0.7) <= 1e-4
     assert np.all(result.g_opt <= OptimizerSettings().g_tol)
 
 
 def test_optimize_reports_infeasible_problems():
     # y = x: constraint x >= 2 cannot hold inside the unit box.
-    result = optimize(line_evaluator(0.0, -1.0, 2.0), OptimizerSettings(x0=np.array([0.5])))
+    result = optimize(line_evaluator(0.0, -1.0, 2.0))
     assert not result.converged
     assert result.g_opt[0] > 0
     assert isinstance(result.message, str) and result.message
@@ -463,16 +461,23 @@ class RunResultStub:
 
 def test_discipline_eval_accounting_with_iterative_mda():
     problem = tuned_problem(7)
-    mda = MDASettings(method="jacobi", tol=1e-4, max_iter=30, warm_start=False)
+    system = assemble(problem)
+    mda = MDASettings(method="jacobi", tol=1e-4, max_iter=30)
     evaluator = RobustEvaluator(
-        assemble(problem), problem.t, problem.uncertainty, MARGIN, "mc", m=20, seed=0,
+        system, problem.t, problem.uncertainty, MARGIN, "mc", m=20, seed=0,
         mda_settings=mda,
     )
-    x = np.full(evaluator.system.d, 0.5)
+    x = np.full(system.d, 0.5)
     evaluator.objective(x)
-    # Every realization runs one Jacobi solve with several sweeps each.
+    # A design point costs the sweeps of the mean-noise solve plus those of
+    # the block solve of all realizations, started from its solution.
+    center = solve_mda(system, x, settings=mda)
+    U = GaussianSampler(problem.uncertainty).draw(20, 0)
+    block = solve_mda(system, x, U, mda, y0=center.y)
     assert evaluator.n_point_evals == 1
-    assert evaluator.n_discipline_evals >= 20 * 2
+    assert center.iterations >= 2
+    assert np.all(block.row_iterations >= 2)
+    assert evaluator.n_discipline_evals == center.iterations + block.iterations
     assert evaluator.n_failed_samples == 0
 
 

@@ -16,10 +16,8 @@ def decoupled_system(seed=0, p=4, d=3):
         C=np.eye(p),
         D=rng.random((p, d)),
         a=rng.random(p),
-        Qx0=np.eye(d),
         p_coupling=(p,),
         d_shared=1,
-        d_local=(d - 1,),
     )
 
 
@@ -29,10 +27,8 @@ def hand_system():
         C=np.array([[1.0, -0.5], [-0.5, 1.0]]),
         D=np.zeros((2, 2)),
         a=np.array([1.0, 1.0]),
-        Qx0=np.diag([1.0, 0.0]),
         p_coupling=(1, 1),
         d_shared=1,
-        d_local=(1,),
     )
 
 

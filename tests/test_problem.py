@@ -87,9 +87,11 @@ def test_generated_coupling_is_strictly_diagonally_dominant():
         assert np.all(row_sums <= config.coupling_strength + 1e-12)
 
 
-def test_generate_capacity_guard(small_config):
+def test_generate_capacity_guard():
+    # p (p + d) = 8193 * 8195 is just above MAX_MATRIX_ELEMENTS = 2**26; the
+    # guard raises before anything is drawn.
     with pytest.raises(CapacityError):
-        generate(small_config, max_elements=10)
+        generate(ProblemConfig(1, 1, (1,), (8193,)))
 
 
 def test_config_validation():
@@ -133,8 +135,7 @@ def test_assemble_block_layout(small_config):
     # Local blocks of other disciplines stay zero.
     assert np.all(system.D[:p0, 3:5] == 0.0)
     assert np.all(system.D[p0:, 1:3] == 0.0)
-
-    assert np.array_equal(system.Qx0, np.diag([1.0, 0, 0, 0, 0]))
+    assert system.d_shared == small_config.d_shared
 
 
 def test_linear_map_on_hand_solved_coupling():
@@ -143,10 +144,8 @@ def test_linear_map_on_hand_solved_coupling():
         C=np.array([[1.0, -0.5], [-0.5, 1.0]]),
         D=np.zeros((2, 2)),
         a=np.array([1.0, 1.0]),
-        Qx0=np.diag([1.0, 0.0]),
         p_coupling=(1, 1),
         d_shared=1,
-        d_local=(1,),
     )
     alpha, beta, P = system.linear_map
     assert np.allclose(alpha, [2.0, 2.0], atol=1e-14)
@@ -170,10 +169,8 @@ def test_singular_coupling_detected():
         C=np.array([[1.0, -1.0], [-1.0, 1.0]]),
         D=np.zeros((2, 2)),
         a=np.ones(2),
-        Qx0=np.eye(2),
         p_coupling=(1, 1),
         d_shared=1,
-        d_local=(1,),
     )
     from umdobench import SingularCouplingError
 
@@ -284,6 +281,19 @@ def test_roundtrip_is_bitwise(small_config):
     assert np.array_equal(
         restored.uncertainty.sigma, problem.uncertainty.sigma
     )
+
+    # Equality is bitwise: a zero of the other sign, a threshold one ulp off
+    # and a missing noise model each make an otherwise equal copy differ.
+    positive, negative = deserialize(serialize(problem)), deserialize(serialize(problem))
+    positive.a[1], negative.a[1] = 0.0, -0.0
+    assert positive != negative
+    restored.t = float(np.nextafter(problem.t, np.inf))
+    assert restored != problem
+    noiseless, zero_noise = deserialize(serialize(problem)), deserialize(serialize(problem))
+    noiseless.uncertainty = None
+    zero_noise.uncertainty = UncertaintyModel.isotropic(small_config.p_coupling, 0.0)
+    assert noiseless != zero_noise
+    assert noiseless == deserialize(serialize(noiseless))
 
 
 def test_serialization_uses_17_significant_digits():

@@ -28,26 +28,25 @@ from umdobench.qp import (
 from oracles import solve_qp_projected_gradient
 
 
-def tuned_system(seed=0, **config_kwargs):
-    config = ProblemConfig(2, 1, (2, 2), (3, 3), seed=seed, **config_kwargs)
+# The default shape, and one with several shared variables and unequal blocks.
+SHAPES = ((2, 1, (2, 2), (3, 3)), (3, 2, (1, 3, 2), (2, 4, 3)))
+
+
+def tuned_system(seed=0, shape=SHAPES[0], **config_kwargs):
+    config = ProblemConfig(*shape, seed=seed, **config_kwargs)
     problem = generate(config)
     tune_feasibility(problem, quantile_seed=seed + 1)
     return assemble(problem), problem.t
 
 
-def decoupled_system(p=3, d_shared=1, d_local=2, seed=0):
+def decoupled_system(p=3, d_shared=2, d_local=2, seed=0):
     rng = np.random.default_rng(seed)
-    d = d_shared + d_local
-    Qx0 = np.zeros((d, d))
-    Qx0[:d_shared, :d_shared] = np.eye(d_shared)
     return BlockSystem(
         C=np.eye(p),
-        D=np.zeros((p, d)),
+        D=np.zeros((p, d_shared + d_local)),
         a=rng.random(p),
-        Qx0=Qx0,
         p_coupling=(p,),
         d_shared=d_shared,
-        d_local=(d_local,),
     )
 
 
@@ -57,7 +56,7 @@ def decoupled_system(p=3, d_shared=1, d_local=2, seed=0):
 def test_reduction_decoupled_case():
     system = decoupled_system()
     qp = reduce_deterministic(system, t=0.25)
-    assert np.array_equal(qp.Q, 2.0 * system.Qx0)
+    assert np.array_equal(qp.Q, 2.0 * np.diag([1.0, 1.0, 0.0, 0.0]))
     assert np.array_equal(qp.c, np.zeros(system.d))
     assert qp.d0 == pytest.approx(system.a @ system.a, rel=1e-15)
     assert np.array_equal(qp.A, np.zeros((system.p, system.d)))
@@ -65,27 +64,29 @@ def test_reduction_decoupled_case():
 
 
 def test_reduction_objective_matches_coupled_evaluation():
-    for seed in range(5):
-        system, t = tuned_system(seed)
-        qp = reduce_deterministic(system, t)
-        rng = np.random.default_rng(seed + 50)
-        for _ in range(20):
-            x = rng.random(system.d)
-            y = solve_mda(system, x, settings=MDASettings(method="direct")).y
-            direct = x[: system.d_shared] @ x[: system.d_shared] + y @ y
-            assert abs(qp.objective(x) - direct) <= 1e-10 * abs(direct)
+    for shape in SHAPES:
+        for seed in range(5):
+            system, t = tuned_system(seed, shape)
+            qp = reduce_deterministic(system, t)
+            rng = np.random.default_rng(seed + 50)
+            for _ in range(20):
+                x = rng.random(system.d)
+                y = solve_mda(system, x, settings=MDASettings(method="direct")).y
+                direct = x[: system.d_shared] @ x[: system.d_shared] + y @ y
+                assert abs(qp.objective(x) - direct) <= 1e-10 * abs(direct), (shape, seed)
 
 
 def test_reduction_constraints_match_coupled_evaluation():
-    system, t = tuned_system(3)
-    qp = reduce_deterministic(system, t)
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        x = rng.random(system.d)
-        y = solve_mda(system, x, settings=MDASettings(method="direct")).y
-        expected = t - y
-        got = qp.constraints(x)
-        assert np.max(np.abs(got - expected)) <= 1e-10 * max(1.0, np.abs(expected).max())
+    for shape in SHAPES:
+        system, t = tuned_system(3, shape)
+        qp = reduce_deterministic(system, t)
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            x = rng.random(system.d)
+            y = solve_mda(system, x, settings=MDASettings(method="direct")).y
+            expected = t - y
+            got = qp.constraints(x)
+            assert np.max(np.abs(got - expected)) <= 1e-10 * max(1.0, np.abs(expected).max())
 
 
 # --- robust reductions -----------------------------------------------------------
@@ -249,16 +250,6 @@ def test_solver_feasibility_of_optimal_solutions():
             assert np.all(sol.g_star <= 1e-8)
             assert np.all(sol.x_star >= qp.lower - 1e-8)
             assert np.all(sol.x_star <= qp.upper + 1e-8)
-
-
-def test_solver_unique_minimum_from_different_starts():
-    system, t = tuned_system(8)
-    qp = reduce_deterministic(system, t)
-    assert check_positive_definite(qp)[0]
-    a = solve_qp(qp, x0=0.05 * np.ones(qp.dim))
-    b = solve_qp(qp, x0=0.95 * np.ones(qp.dim))
-    assert a.status == b.status == "optimal"
-    assert np.linalg.norm(a.x_star - b.x_star) <= 1e-8
 
 
 def test_solver_objective_nondecreasing_in_margin_level():

@@ -40,7 +40,7 @@ def reference_problem(seed=0, std=0.01):
 def reference_setup(seed=0, std=0.01):
     problem = reference_problem(seed, std)
     model = problem.uncertainty
-    return assemble(problem), problem.t, GaussianSampler(model.sigma_blocks), model.sigma
+    return assemble(problem), problem.t, GaussianSampler(model), model.sigma
 
 
 def taylor_evaluator(problem, spec):
@@ -51,7 +51,7 @@ def taylor_evaluator(problem, spec):
 
 
 def scalar_sampler(std=1.0):
-    return GaussianSampler((np.array([[std ** 2]]),))
+    return GaussianSampler(UncertaintyModel((np.array([[std ** 2]]),)))
 
 
 # --- statistic specs and composition --------------------------------------------
@@ -94,7 +94,7 @@ def test_sampler_matches_block_covariance():
         0.04 * np.eye(2),
         np.array([[0.09, 0.03], [0.03, 0.05]]),
     )
-    sampler = GaussianSampler(blocks)
+    sampler = GaussianSampler(UncertaintyModel(blocks))
     draws = sampler.draw(200_000, seed=1)
     emp = np.cov(draws.T)
     assert np.max(np.abs(emp - scipy.linalg.block_diag(*blocks))) < 5e-3
@@ -103,7 +103,7 @@ def test_sampler_matches_block_covariance():
 
 
 def test_sampler_semidefinite_block_and_determinism():
-    sampler = GaussianSampler((np.zeros((2, 2)), np.eye(1)))
+    sampler = GaussianSampler(UncertaintyModel((np.zeros((2, 2)), np.eye(1))))
     draws = sampler.draw(100, seed=3)
     assert np.all(draws[:, :2] == 0.0)
     assert np.array_equal(draws, sampler.draw(100, seed=3))
@@ -111,8 +111,9 @@ def test_sampler_semidefinite_block_and_determinism():
 
 
 def test_sampler_rejects_indefinite_block():
-    with pytest.raises(ValueError):
-        GaussianSampler((np.array([[1.0, 2.0], [2.0, 1.0]]),))
+    # A sampler takes a validated model, so no indefinite block reaches it.
+    with pytest.raises(ValueError, match="not positive semi-definite"):
+        GaussianSampler(UncertaintyModel((np.array([[1.0, 2.0], [2.0, 1.0]]),)))
 
 
 # --- Monte-Carlo -----------------------------------------------------------------
@@ -182,7 +183,7 @@ def test_mc_failure_accounting_matches_per_row_solves():
     center = solve_mda(system, x, settings=settings)
     rows = [
         solve_mda(system, x, u, settings, y0=center.y)
-        for u in GaussianSampler(problem.uncertainty.sigma_blocks).draw(200, 3)
+        for u in GaussianSampler(problem.uncertainty).draw(200, 3)
     ]
     kept = [row.y for row in rows if row.converged]
     n_failed = sum(not row.converged for row in rows)
@@ -243,7 +244,7 @@ def test_mc_margin_composition():
     # The mc evaluator's margin is mc_estimate's mean + 2 std over the same draws.
     problem = reference_problem(seed=3)
     system, t = assemble(problem), problem.t
-    sampler = GaussianSampler(problem.uncertainty.sigma_blocks)
+    sampler = GaussianSampler(problem.uncertainty)
     spec = StatisticSpec(constraint_stat="margin", kappa=2.0)
     x = np.full(system.d, 0.4)
 
@@ -315,10 +316,8 @@ def test_exact_stats_isotropic_decoupled_case():
         C=np.eye(p),
         D=rng.random((p, 2)),
         a=rng.random(p),
-        Qx0=np.diag([1.0, 0.0]),
         p_coupling=(p,),
         d_shared=1,
-        d_local=(1,),
     )
     x = np.array([0.3, 0.7])
     sigma = std ** 2 * np.eye(p)
@@ -380,7 +379,7 @@ def test_all_estimators_agree_in_zero_noise_limit():
     t = problem.t
     x = np.full(system.d, 0.55)
     zero_sigma = np.zeros((system.p, system.p))
-    sampler = GaussianSampler(tuple(np.zeros((p, p)) for p in system.p_coupling))
+    sampler = GaussianSampler(UncertaintyModel.isotropic(system.p_coupling, 0.0))
 
     def constraint_fn(x_, U):
         return t - solve_mda(system, x_, U, DIRECT).y
