@@ -76,13 +76,13 @@ alpha, beta, P = system.linear_map
 ybar = alpha + beta @ x
 x0 = x[: system.d_shared]
 
-def objective_sample(_, U):
-    # One row per noise realization: the estimator hands over all of them.
+def objective_sample(U):
+    # One objective value per noise realization (row of U).
     Y = ybar + U @ P.T
     return x0 @ x0 + np.sum(Y * Y, axis=1)
 
 truth = exact.objective.mean[0]
 for m in (100, 1000, 10_000):
-    gaps = [abs(mc_estimate(objective_sample, x, sampler.draw(m, s)).mean[0] - truth)
+    gaps = [abs(mc_estimate(objective_sample(sampler.draw(m, s))).mean[0] - truth)
             for s in range(10)]
     print(f"m={m:6d}: mean |error| = {np.mean(gaps):.2e}")

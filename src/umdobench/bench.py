@@ -16,6 +16,7 @@ reproducible; wall-clock times are not.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import platform
@@ -28,6 +29,7 @@ import scipy
 from .driver import (
     _DEFAULT_M,
     _ESTIMATORS,
+    _G_TOL,
     OptimizerSettings,
     RobustEvaluator,
     _noise_model,
@@ -37,7 +39,6 @@ from .driver import (
 from .errors import InfeasibleReferenceError, NumericalError
 from .mda import MDASettings
 from .problem import (
-    BlockSystem,
     ProblemConfig,
     UncertaintyModel,
     assemble,
@@ -204,45 +205,19 @@ class BenchmarkReport:
         return record
 
 
-@dataclass(frozen=True)
-class _RunTask:
-    """Everything one worker needs to execute and score a single run.
-
-    ``system`` is pickled with the maps the reference QP cached on it.
-    """
-
-    system: BlockSystem
-    t: float
-    sigma: UncertaintyModel
-    spec: StatisticSpec
-    optimizer: OptimizerSettings
-    mda_settings: MDASettings | None
-    reference: object
-    label: str
-    kind: str
-    m: int | None
-    rep: int
-    seed: int
-
-
-def _execute_run(task: _RunTask):
+def _execute_run(
+    system, t, sigma, spec, optimizer, mda_settings, reference, label, kind, m, rep, seed
+):
     """Run one estimator repetition; never raises (failures are reported)."""
     try:
         evaluator = RobustEvaluator(
-            task.system,
-            task.t,
-            task.sigma,
-            task.spec,
-            task.kind,
-            m=task.m,
-            seed=task.seed,
-            mda_settings=task.mda_settings,
+            system, t, sigma, spec, kind, m=m, seed=seed, mda_settings=mda_settings
         )
-        run = optimize(evaluator, task.optimizer)
-        dx, df, dg = percent_errors(run, task.reference)
+        run = optimize(evaluator, optimizer)
+        dx, df, dg = percent_errors(run, reference)
         return BenchmarkRun(
-            estimator=task.label,
-            rep=task.rep,
+            estimator=label,
+            rep=rep,
             dx_pct=float(dx),
             df_pct=float(df),
             dg_pct=float(dg),
@@ -250,11 +225,7 @@ def _execute_run(task: _RunTask):
             wall_s=float(run.wall_time),
         )
     except Exception as exc:
-        return {
-            "estimator": task.label,
-            "rep": task.rep,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return {"estimator": label, "rep": rep, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _resolve_workers(workers: int | None, n_tasks: int) -> int:
@@ -339,32 +310,24 @@ def run_benchmark(
     if reference.status != "optimal":
         raise NumericalError(f"reference QP solve ended with status {reference.status!r}")
 
+    # The system is pickled to each worker with the maps the reference QP
+    # cached on it.
+    execute = functools.partial(
+        _execute_run, system, problem.t, model, spec, optimizer, mda_settings, reference
+    )
     tasks = [
-        _RunTask(
-            system=system,
-            t=problem.t,
-            sigma=model,
-            spec=spec,
-            optimizer=optimizer,
-            mda_settings=mda_settings,
-            reference=reference,
-            label=label,
-            kind=kind,
-            m=m,
-            rep=rep,
-            seed=seed,
-        )
+        (label, kind, m, rep, seed)
         for label, kind, m in parsed
         for rep, seed in enumerate(seeds[label])
     ]
     if n_workers == 1:
-        outcomes = [_execute_run(task) for task in tasks]
+        outcomes = [execute(*task) for task in tasks]
     else:
         # Local so that serial runs never load the process-pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_execute_run, tasks))
+            outcomes = list(pool.map(execute, *zip(*tasks)))
 
     runs = [o for o in outcomes if isinstance(o, BenchmarkRun)]
     failures = [o for o in outcomes if not isinstance(o, BenchmarkRun)]
@@ -383,7 +346,7 @@ def run_benchmark(
         config=_record(problem.config),
         t=float(problem.t),
         statistic=_record(spec),
-        optimizer={"method": "SLSQP", **_record(optimizer)},
+        optimizer={"method": "SLSQP", **_record(optimizer), "g_tol": _G_TOL},
         mda=_record(mda_settings if mda_settings is not None else MDASettings()),
         sigma_blocks=[b.tolist() for b in model.sigma_blocks],
         base_seed=base_seed,
@@ -422,12 +385,17 @@ def report_to_csv(report: BenchmarkReport) -> str:
 
 
 def write_report(report: BenchmarkReport, base_path) -> tuple[Path, Path]:
-    """Write ``<base>.json`` and ``<base>.csv``; a .json/.csv suffix is stripped."""
+    """Write ``<base>.json`` and ``<base>.csv``.
+
+    A trailing ``.json`` or ``.csv`` is stripped from the base; any other dot
+    is part of the name, so base ``runs/sigma0.01`` writes
+    ``runs/sigma0.01.json`` and ``runs/sigma0.01.csv``.
+    """
     base = Path(base_path)
     if base.suffix in (".json", ".csv"):
         base = base.with_suffix("")
-    json_path = base.with_suffix(".json")
-    csv_path = base.with_suffix(".csv")
+    json_path = base.with_name(base.name + ".json")
+    csv_path = base.with_name(base.name + ".csv")
     json_path.write_bytes(report_to_json(report))
     csv_path.write_text(report_to_csv(report), encoding="ascii")
     return json_path, csv_path

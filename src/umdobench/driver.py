@@ -18,7 +18,6 @@ the package is imported: the reference chain never needs it.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -49,24 +48,25 @@ _DEFAULT_M = 200
 # after 10-30 iterations.
 _FTOL = 1e-12
 
+# The feasibility tolerance on the composed constraints that a run must meet
+# to count as converged.
+_G_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Budget and tolerances of the optimizer (SLSQP).
+    """Iteration budget of the optimizer (SLSQP).
 
-    ``max_iter`` caps SLSQP's iterations. ``g_tol`` is the feasibility
-    tolerance on the composed constraints that a run must meet to count as
-    converged. Every run starts at the midpoint of the unit box.
+    ``max_iter`` caps SLSQP's iterations. Every run starts at the midpoint
+    of the unit box, and counts as converged only with every composed
+    constraint below the fixed tolerance ``1e-4``.
     """
 
     max_iter: int = 100
-    g_tol: float = 1e-4
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.g_tol > 0:
-            raise ValueError("g_tol must be > 0")
 
 
 @dataclass
@@ -208,7 +208,7 @@ class RobustEvaluator:
             center = solve_mda(self.system, x, settings=self.mda_settings)
             self.n_discipline_evals += center.iterations
             y0 = center.y
-        est = mc_estimate(functools.partial(self._coupled_outputs, y0=y0), x, self._samples)
+        est = mc_estimate(self._coupled_outputs(x, self._samples, y0))
         self.n_failed_samples += est.n_failed
         f = float(est.mean[0])
         g = composed_value(est.mean[1:], est.std[1:], self.spec)
@@ -274,7 +274,7 @@ def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = No
     Runs SLSQP from the midpoint of the box on the evaluator's values and
     analytic gradients, with the box as bounds, and returns its final
     iterate. ``converged`` is True when SLSQP reports success, every
-    constraint is below ``g_tol`` and the evaluation at the final iterate
+    constraint is below ``1e-4`` and the evaluation at the final iterate
     converged; ``message`` says why SLSQP stopped.
     """
     if settings is None:
@@ -312,7 +312,7 @@ def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = No
         n_discipline_evals=evaluator.n_discipline_evals - evals_before,
         n_optimizer_iters=int(res.nit),
         converged=bool(res.success)
-        and float(np.max(g_opt)) <= settings.g_tol
+        and float(np.max(g_opt)) <= _G_TOL
         and evaluator.point_converged,
         message=str(res.message),
         estimator=evaluator.estimator,

@@ -687,7 +687,7 @@ def _as_blocks(value, n, path):
 def _as_array(value, shape, path):
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"not a numeric array: {exc}", field=path) from exc
     if arr.shape != shape:
         raise ProblemFormatError(
@@ -721,12 +721,16 @@ def deserialize(data: bytes | str) -> ScalableProblem:
         If the file declares a different format version.
     ProblemFormatError
         If a field is missing or malformed; the error names the field path.
+        Data that does not parse as UTF-8 JSON, including nesting deeper than
+        the interpreter's recursion limit, names the field ``<root>``.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is the error
+    # for an integer longer than Python's int-to-str digit limit.
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}", field="<root>") from exc
 
     version = _as_int(_require(doc, "version", ""), "version")

@@ -197,7 +197,7 @@ def test_criterion_7_mc_convergence_rate():
     x0 = x[: system.d_shared]
     ybar = alpha + beta @ x
 
-    def objective_sample(_, U):
+    def objective_sample(U):
         Y = ybar + U @ P.T
         return x0 @ x0 + np.sum(Y * Y, axis=1)
 
@@ -206,7 +206,7 @@ def test_criterion_7_mc_convergence_rate():
     errors = []
     for m in sizes:
         gaps = [
-            abs(mc_estimate(objective_sample, x, sampler.draw(m, 500 + s)).mean[0] - truth)
+            abs(mc_estimate(objective_sample(sampler.draw(m, 500 + s))).mean[0] - truth)
             for s in range(20)
         ]
         errors.append(float(np.mean(gaps)))

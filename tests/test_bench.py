@@ -14,6 +14,7 @@ import scipy
 import umdobench.bench as bench
 import umdobench.driver as driver
 import umdobench.problem as problem_mod
+import umdobench.qp as qp_mod
 from umdobench.bench import (
     CSV_COLUMNS,
     default_benchmark_problem,
@@ -127,23 +128,32 @@ def test_csv_and_json_contain_identical_numbers(tmp_path, report):
             assert float(csv_row[key]) == json_row[key]
 
 
+def test_write_report_keeps_dots_in_the_base_name(tmp_path, report):
+    paths = write_report(report, tmp_path / "run.2024")
+    assert paths == (tmp_path / "run.2024.json", tmp_path / "run.2024.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.2024.csv", "run.2024.json"]
+
+
 def test_process_pool_matches_serial_results():
-    kwargs = dict(
-        estimators=("exact", "mc:5"),
-        repetitions=2,
-        optimizer=OptimizerSettings(max_iter=25),
-        mda_settings=DIRECT,
-    )
-    serial = small_report(workers=1, **kwargs)
-    pooled = small_report(workers=2, **kwargs)
-    for a, b in zip(serial.runs, pooled.runs):
-        assert (a.estimator, a.rep) == (b.estimator, b.rep)
-        assert (a.dx_pct, a.df_pct, a.dg_pct, a.n_evals) == (
-            b.dx_pct,
-            b.df_pct,
-            b.dg_pct,
-            b.n_evals,
+    def untimed(runs):
+        return [dataclasses.replace(r, wall_s=0.0) for r in runs]
+
+    # Three Jacobi sweeps cannot reach tol 1e-8, so under the second setting
+    # every mc repetition raises NumericalError inside its worker.
+    for mda_settings, n_runs in ((DIRECT, 3), (MDASettings(tol=1e-8, max_iter=3), 1)):
+        kwargs = dict(
+            estimators=("exact", "mc:5"),
+            repetitions=2,
+            optimizer=OptimizerSettings(max_iter=25),
+            mda_settings=mda_settings,
         )
+        serial = small_report(workers=1, **kwargs)
+        pooled = small_report(workers=2, **kwargs)
+        assert len(serial.runs) == n_runs
+        assert untimed(pooled.runs) == untimed(serial.runs)
+        assert pooled.failures == serial.failures
+    assert [(f["estimator"], f["rep"]) for f in pooled.failures] == [("mc:5", 0), ("mc:5", 1)]
+    assert all(f["error"].startswith("NumericalError") for f in pooled.failures)
 
 
 def test_exact_estimator_reproduces_reference():
@@ -231,6 +241,12 @@ def test_infeasible_reference_raises():
     spec = StatisticSpec(constraint_stat="margin", kappa=1e6)
     with pytest.raises(InfeasibleReferenceError):
         run_benchmark(problem, ("exact",), spec=spec, workers=1)
+
+
+def test_reference_out_of_iterations_raises(monkeypatch):
+    monkeypatch.setattr(qp_mod, "_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match="max_iter"):
+        small_report(estimators=("exact",))
 
 
 def test_argument_validation():

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import umdobench.qp as qp_mod
 from umdobench.cli import main
 from umdobench.driver import RunResult
 from umdobench.problem import assemble, deserialize, problem_digest
@@ -181,6 +182,21 @@ def test_non_finite_field_exits_4_without_traceback(problem_path, tmp_path, caps
     assert len(err.splitlines()) == 1
     assert err.startswith("error:") and "field: t" in err
     assert "Traceback" not in err
+
+
+def test_undecodable_problem_file_exits_4_without_traceback(problem_path, tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(problem_path.read_bytes().replace(b'"version"', b'"versi\xf3n"', 1))
+    assert main(["solve-ref", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "field: <root>" in err
+    assert "Traceback" not in err
+
+
+def test_solve_ref_exhausted_iteration_budget_exits_4(problem_path, monkeypatch, capsys):
+    monkeypatch.setattr(qp_mod, "_MAX_ITER", 1)
+    assert main(["solve-ref", str(problem_path)]) == 4
+    assert json.loads(capsys.readouterr().out)["status"] == "max_iter"
 
 
 def test_missing_problem_file_exits_4(tmp_path, capsys):

@@ -565,6 +565,9 @@ def test_deserialize_rejects_bad_inputs(small_config):
         blocks[0][0][0] = float("nan")
         doc["sigma_blocks"] = blocks
 
+    def huge_a(doc):
+        doc["a"][0] = 10**400  # numpy raises OverflowError converting it
+
     cases = [
         (non_numeric_a, "a"),
         (lambda doc: doc.update(t="abc"), "t"),
@@ -590,6 +593,7 @@ def test_deserialize_rejects_bad_inputs(small_config):
         (infinite_a, "a"),
         (infinite_c_block, "C_blocks[0,1]"),
         (nan_sigma_block, "sigma_blocks[0]"),
+        (huge_a, "a"),
     ]
     for corrupt, field in cases:
         doc = json.loads(payload)
@@ -597,6 +601,16 @@ def test_deserialize_rejects_bad_inputs(small_config):
         with pytest.raises(ProblemFormatError) as err:
             deserialize(json.dumps(doc))
         assert err.value.field == field
+
+    # Data json cannot parse, whatever the error it raises.
+    for data in (
+        b"\xff" + payload,  # not UTF-8: UnicodeDecodeError
+        "[" * 100_000,  # nested past the recursion limit: RecursionError
+        '{"version": ' + "1" * 5000 + "}",  # past the int digit limit: ValueError
+    ):
+        with pytest.raises(ProblemFormatError) as err:
+            deserialize(data)
+        assert err.value.field == "<root>"
 
 
 def test_deserialize_reads_exactly_the_config_fields(small_config):

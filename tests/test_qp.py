@@ -15,6 +15,7 @@ from umdobench import (
     generate,
     tune_feasibility,
 )
+import umdobench.qp as qp_mod
 from umdobench.mda import MDASettings, solve_mda
 from umdobench.qp import (
     QPData,
@@ -235,6 +236,15 @@ def test_solver_matches_projected_gradient_oracle():
     f_pg = qp.objective(x_pg)
     assert abs(sol.f_star - f_pg) <= 1e-6 * (1.0 + abs(f_pg))
     assert sol.f_star <= f_pg + 1e-8
+
+
+def test_solver_reports_exhausted_iteration_budget(monkeypatch):
+    monkeypatch.setattr(qp_mod, "_MAX_ITER", 1)
+    system, t = tuned_system(7)
+    sol = solve_qp(reduce_deterministic(system, t))
+    assert sol.status == "max_iter"
+    assert sol.iterations == 1
+    assert sol.kkt_residual > 1e-9
 
 
 def test_solver_feasibility_of_optimal_solutions():

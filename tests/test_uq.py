@@ -120,9 +120,7 @@ def test_sampler_rejects_indefinite_block():
 
 
 def test_mc_constant_function_has_zero_std():
-    est = mc_estimate(
-        lambda x, U: np.tile([3.0, -1.0], (len(U), 1)), None, scalar_sampler().draw(50, 0)
-    )
+    est = mc_estimate(np.tile([3.0, -1.0], (50, 1)))
     assert np.array_equal(est.mean, [3.0, -1.0])
     assert np.array_equal(est.std, [0.0, 0.0])
     assert np.array_equal(est.value, est.mean)
@@ -131,40 +129,31 @@ def test_mc_constant_function_has_zero_std():
 
 def test_mc_standard_normal_moments():
     m = 100_000
-    est = mc_estimate(lambda x, U: U[:, 0], None, scalar_sampler().draw(m, 7))
+    est = mc_estimate(scalar_sampler().draw(m, 7)[:, 0])
     assert abs(est.mean[0]) <= 3.0 / np.sqrt(m)
     assert abs(est.std[0] - 1.0) <= 0.02
 
 
 def test_mc_within_standard_errors_of_exact_oracle():
     system, t, sampler, sigma = reference_setup(seed=2)
-    exact = exact_stats(system, t, sigma, x=np.full(system.d, 0.5))
-
-    def constraint_fn(x, U):
-        Y = solve_mda(system, x, U, MDASettings(method="direct")).y
-        return t - Y
+    x = np.full(system.d, 0.5)
+    exact = exact_stats(system, t, sigma, x)
 
     m = 200
-    est = mc_estimate(constraint_fn, np.full(system.d, 0.5), sampler.draw(m, 11))
+    est = mc_estimate(t - solve_mda(system, x, sampler.draw(m, 11), DIRECT).y)
     tol = 3.0 * exact.constraints.std / np.sqrt(m)
     assert np.all(np.abs(est.mean - exact.constraints.mean) <= tol)
 
 
 def test_mc_excludes_failing_realizations():
-    def flaky(x, U):
-        values = U[:, 0].copy()
-        values[values > 0.5] = np.nan  # synthetic non-convergence
-        return values
-
-    est = mc_estimate(flaky, None, scalar_sampler().draw(400, 5))
+    values = scalar_sampler().draw(400, 5)[:, 0]
+    values[values > 0.5] = np.nan  # synthetic non-convergence
+    est = mc_estimate(values)
     assert est.n_failed > 0
     assert np.all(est.mean <= 0.5)
 
-    def always_fails(x, U):
-        return np.full(len(U), np.nan)
-
     with pytest.raises(NumericalError):
-        mc_estimate(always_fails, None, scalar_sampler().draw(10, 5))
+        mc_estimate(np.full(10, np.nan))
 
 
 def test_mc_failure_accounting_matches_per_row_solves():
@@ -205,39 +194,19 @@ def test_mc_failure_accounting_matches_per_row_solves():
 
 
 def test_mc_drops_rows_with_nan_in_any_column():
-    def second_column_fails(x, U):
-        values = np.column_stack([U[:, 0], U[:, 0]])
-        values[U[:, 0] > 0.5, 1] = np.nan
-        return values
-
     u = scalar_sampler().draw(400, 5)[:, 0]
-    est = mc_estimate(second_column_fails, None, scalar_sampler().draw(400, 5))
+    values = np.column_stack([u, u])
+    values[u > 0.5, 1] = np.nan
+    est = mc_estimate(values)
     assert est.n_failed == np.count_nonzero(u > 0.5) > 0
     assert est.mean[0] == est.mean[1] <= 0.5
 
 
 def test_mc_needs_two_converged_rows():
-    def one_survivor(x, U):
-        values = np.full(len(U), np.nan)
-        values[0] = U[0, 0]
-        return values
-
+    values = np.full(10, np.nan)
+    values[0] = 1.0
     with pytest.raises(NumericalError):
-        mc_estimate(one_survivor, None, scalar_sampler().draw(10, 5))
-
-
-def test_mc_rejects_wrong_output_shape():
-    with pytest.raises(ValueError):
-        mc_estimate(lambda x, U: U[:-1], None, scalar_sampler().draw(10, 0))
-    with pytest.raises(ValueError):
-        mc_estimate(lambda x, U: U[:, :, None], None, scalar_sampler().draw(10, 0))
-
-
-def test_mc_requires_two_samples():
-    with pytest.raises(ValueError):
-        mc_estimate(lambda x, U: U, None, scalar_sampler().draw(1, 0))
-    with pytest.raises(ValueError):
-        mc_estimate(lambda x, U: U, None, np.zeros(10))
+        mc_estimate(values)
 
 
 def test_mc_margin_composition():
@@ -248,10 +217,7 @@ def test_mc_margin_composition():
     spec = StatisticSpec(constraint_stat="margin", kappa=2.0)
     x = np.full(system.d, 0.4)
 
-    def constraint_fn(x, U):
-        return t - solve_mda(system, x, U, DIRECT).y
-
-    est = mc_estimate(constraint_fn, x, sampler.draw(100, 2))
+    est = mc_estimate(t - solve_mda(system, x, sampler.draw(100, 2), DIRECT).y)
     evaluator = RobustEvaluator(
         system, t, problem.uncertainty, spec, "mc", m=100, seed=2, mda_settings=DIRECT
     )
@@ -360,12 +326,9 @@ def test_mc_estimator_is_unbiased():
     x = np.full(system.d, 0.5)
     exact = exact_stats(system, t, sigma, x)
 
-    def constraint_fn(x_, U):
-        return t - solve_mda(system, x_, U, MDASettings(method="direct")).y
-
     runs, m = 200, 50
     means = [
-        mc_estimate(constraint_fn, x, sampler.draw(m, 1000 + r)).mean
+        mc_estimate(t - solve_mda(system, x, sampler.draw(m, 1000 + r), DIRECT).y).mean
         for r in range(runs)
     ]
     aggregate = np.mean(means, axis=0)
@@ -381,10 +344,7 @@ def test_all_estimators_agree_in_zero_noise_limit():
     zero_sigma = np.zeros((system.p, system.p))
     sampler = GaussianSampler(UncertaintyModel.isotropic(system.p_coupling, 0.0))
 
-    def constraint_fn(x_, U):
-        return t - solve_mda(system, x_, U, DIRECT).y
-
-    mc = mc_estimate(constraint_fn, x, sampler.draw(10, 0))
+    mc = mc_estimate(t - solve_mda(system, x, sampler.draw(10, 0), DIRECT).y)
     # Without noise the margin collapses onto the mean.
     margin = StatisticSpec(constraint_stat="margin", kappa=2.0)
     taylor = RobustEvaluator(system, t, None, margin, "taylor", mda_settings=DIRECT)
