@@ -10,19 +10,23 @@ strictly diagonally dominant, so the fixed-point iterations contract and the
 residual ``y - h(x, y)`` decays geometrically.
 
 The residual of a Jacobi iterate is measured against its image under h,
-which is also the next iterate, so a Jacobi sweep evaluates h once and s
-sweeps evaluate it s + 1 times (the extra one is the residual of the first
-iterate). Gauss-Seidel evaluates h once per sweep for its residual, on top of
-its block updates. Sweep counts, which the benchmark reports as discipline
-evaluations, count sweeps, not evaluations of h.
+which is also the next iterate, so a Jacobi sweep takes one product with B.
+The first iterate is h at the start: from the zero start that is the
+right-hand side itself, so s sweeps take s products with B, and from a warm
+start y0 they take s + 1. Gauss-Seidel takes one product with B per sweep for
+its residual, on top of its block updates. Sweep counts, which the benchmark
+reports as discipline evaluations, count sweeps, not products.
 
-A block of m noise realizations (the Monte-Carlo samples of one design point)
-is solved in one call over an (m, p) iterate. Its products are computed row by
-row, so each row gets bit for bit the result of a solve of its own.
+One noise realization is swept as a (p,) vector. A block of m realizations
+(the Monte-Carlo samples of one design point) is solved in one call over an
+(m, p) iterate, whose converged rows leave the sweep. Its products are
+computed row by row with the gemv of a single solve, so each row gets bit for
+bit the result of a solve of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +43,9 @@ class MDASettings:
 
     ``tol`` bounds the Euclidean norm of the coupling residual
     ``y - h(x, y)``, measured after every sweep; ``max_iter`` caps the
-    number of fixed-point sweeps. A Jacobi solve of s sweeps evaluates h
-    s + 1 times, because each sweep's next iterate is the h its residual
-    needed.
+    number of fixed-point sweeps. A Jacobi solve of s sweeps takes s products
+    with B from the zero start and s + 1 from a warm start, because each
+    sweep's next iterate is the h its residual needed.
     """
 
     method: str = "jacobi"
@@ -83,16 +87,22 @@ class MDAResult:
 
 
 def _matvec(A, Y):
-    """``A @ y`` for every row y of Y, as one stacked gemv per row.
+    """``A @ y`` for a vector y, or for every row y of a stack Y.
 
-    A plain ``Y @ A.T`` gemm rounds differently in the last bits, so block
+    A stack takes one stacked gemv per row, the gemv that ``A @ y`` calls. A
+    plain ``Y @ A.T`` gemm rounds differently in the last bits, so block
     results would not match single-realization solves.
     """
+    if Y.ndim == 1:
+        return A @ Y
     return np.matmul(A[None], Y[:, :, None])[:, :, 0]
 
 
 def _row_norms(R):
-    """Euclidean norm of every row of R, each a dot product like ``norm(r)``."""
+    """Euclidean norm of a vector R (a float) or of every row of a stack R,
+    each one dot product like ``norm(r)``."""
+    if R.ndim == 1:
+        return math.sqrt(R @ R)
     return np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])
 
 
@@ -105,9 +115,10 @@ def solve_mda(
 ) -> MDAResult:
     """Solve ``C y = a - D x + u`` for the coupling vector y.
 
-    A block of noise realizations is solved at once: every row of ``u`` gets
-    exactly the iterates, sweep count and convergence flag it would get on
-    its own.
+    One realization is swept as a (p,) vector. A block of noise realizations
+    is solved at once: every row of ``u`` gets exactly the iterates, sweep
+    count, residual and convergence flag it would get on its own, and a
+    block of one gets the result of the vector solve.
 
     Parameters
     ----------
@@ -133,27 +144,37 @@ def solve_mda(
     u = np.zeros(p) if u is None else np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != p or u.size == 0:
         raise ValueError(f"u must have shape ({p},) or (m, {p}) with m >= 1, got {u.shape}")
-    m = 1 if u.ndim == 1 else u.shape[0]
+    if y0 is not None and settings.method != "direct":
+        y0 = np.array(y0, dtype=float)  # a contiguous copy, for Gauss-Seidel to sweep
+        if y0.shape != (p,):
+            raise ValueError(f"y0 must have shape ({p},), got {y0.shape}")
 
-    rhs = system.a - system.D @ x + u.reshape(m, p)
+    rhs = system.a - system.D @ x + u
 
     if settings.method == "direct":
-        Y = np.ascontiguousarray(scipy.linalg.lu_solve(system.lu, rhs.T, check_finite=False).T)
-        residual = _row_norms(_matvec(system.C, Y) - rhs)
-        sweeps = np.ones(m, dtype=int)
-        history = [float(residual.max())]
+        y = np.ascontiguousarray(scipy.linalg.lu_solve(system.lu, rhs.T, check_finite=False).T)
+        residual = _row_norms(_matvec(system.C, y) - rhs)
+        sweeps = 1 if u.ndim == 1 else np.ones(len(u), dtype=int)
+        history = [float(np.max(residual))]
+    elif u.ndim == 1:
+        y, residual, sweeps, history = _fixed_point_vector(system, rhs, y0, settings)
     else:
-        Y = np.zeros((m, p))
-        if y0 is not None:
-            y0 = np.asarray(y0, dtype=float)
-            if y0.shape != (p,):
-                raise ValueError(f"y0 must have shape ({p},), got {y0.shape}")
-            Y[:] = y0
-        residual, sweeps, history = _fixed_point(system, Y, rhs, settings)
+        y, residual, sweeps, history = _fixed_point_block(system, rhs, y0, settings)
 
+    if u.ndim == 1:
+        converged = residual <= settings.tol
+        return MDAResult(
+            y=y,
+            iterations=sweeps,
+            residual=residual,
+            converged=converged,
+            row_converged=np.array([converged]),
+            row_iterations=np.array([sweeps]),
+            residual_history=history,
+        )
     row_converged = residual <= settings.tol
     return MDAResult(
-        y=Y if u.ndim == 2 else Y[0],
+        y=y,
         iterations=int(sweeps.sum()),
         residual=float(residual.max()),
         converged=bool(row_converged.all()),
@@ -163,32 +184,74 @@ def solve_mda(
     )
 
 
-def _fixed_point(system, Y, rhs, settings):
-    """Jacobi or Gauss-Seidel sweeps over the rows of Y, in place.
+def _first_h(B, rhs, y0):
+    """``rhs + B @ y0``: h at the start iterate, which is the first Jacobi
+    iterate.
+
+    From the zero start it takes no product with B: ``rhs + 0.0`` is bit for
+    bit ``rhs + B @ 0``, because gemv's ``B @ 0`` is +0.0 everywhere (both
+    turn a -0.0 in rhs into +0.0). A warm start takes ``B @ y0`` once, as one
+    vector, which every row of a block shares.
+    """
+    return rhs + (0.0 if y0 is None else _matvec(B, y0))
+
+
+def _fixed_point_vector(system, rhs, y0, settings):
+    """Jacobi or Gauss-Seidel sweeps of one (p,) iterate.
+
+    Returns ``(y, final residual, sweeps, history)``, the residual a float.
+    """
+    B = system.iteration_matrix
+    jacobi = settings.method == "jacobi"
+    if jacobi:
+        h = _first_h(B, rhs, y0)
+    else:
+        y = np.zeros_like(rhs) if y0 is None else y0
+    history = []
+    for sweep in range(1, settings.max_iter + 1):
+        if jacobi:
+            y = h
+        else:
+            # Gauss-Seidel: sweep discipline blocks in order. The diagonal
+            # blocks of B are zero, so B[block] @ y picks up fresh values for
+            # already-updated blocks and stale ones for the rest.
+            for block in system.block_slices:
+                y[block] = rhs[block] + _matvec(B[block], y)
+        h = rhs + _matvec(B, y)
+        residual = _row_norms(y - h)
+        history.append(residual)
+        if residual <= settings.tol:
+            break
+    return y, residual, sweep, history
+
+
+def _fixed_point_block(system, rhs, y0, settings):
+    """Jacobi or Gauss-Seidel sweeps over the rows of an (m, p) block.
 
     Only rows that have not yet converged are swept: they are kept packed in
     ``active`` (iterates), ``active_rhs``, ``h`` (``rhs + B y`` of each
     iterate y, which is also its next Jacobi iterate) and ``rows`` (their row
     numbers), and a row is written back to Y when it converges or the budget
-    runs out. Returns ``(final residual per row, sweeps per row, history)``.
+    runs out. Returns ``(Y, final residual per row, sweeps per row,
+    history)``.
     """
     B = system.iteration_matrix
     jacobi = settings.method == "jacobi"
-    m = Y.shape[0]
+    m = rhs.shape[0]
+    Y = np.zeros_like(rhs)
+    if y0 is not None:
+        Y[:] = y0
     residual = np.empty(m)
     sweeps = np.empty(m, dtype=int)
     history = []
     rows = np.arange(m)
     active, active_rhs = Y, rhs
     if jacobi:
-        h = active_rhs + _matvec(B, active)
+        h = _first_h(B, rhs, y0)
     for sweep in range(1, settings.max_iter + 1):
         if jacobi:
             active = h
         else:
-            # Gauss-Seidel: sweep discipline blocks in order. The diagonal
-            # blocks of B are zero, so B[block] @ y picks up fresh values for
-            # already-updated blocks and stale ones for the rest.
             for block in system.block_slices:
                 active[:, block] = active_rhs[:, block] + _matvec(B[block], active)
         h = active_rhs + _matvec(B, active)
@@ -209,4 +272,4 @@ def _fixed_point(system, Y, rhs, settings):
             sweeps[finished] = sweep
             keep = ~done
             rows, active, active_rhs, h = rows[keep], active[keep], active_rhs[keep], h[keep]
-    return residual, sweeps, history
+    return Y, residual, sweeps, history

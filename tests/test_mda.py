@@ -284,6 +284,65 @@ def test_single_realization_is_a_block_of_one():
         assert isinstance(one.iterations, int) and isinstance(one.converged, bool)
 
 
+def assert_same_solve(one, block):
+    assert one.y.shape == block.y.shape[1:]
+    assert one.y.tobytes() == block.y[0].tobytes()
+    assert one.iterations == block.iterations
+    assert one.residual == block.residual
+    assert one.converged == block.converged
+    assert one.residual_history == block.residual_history
+    assert one.row_iterations.tolist() == block.row_iterations.tolist()
+    assert one.row_converged.tolist() == block.row_converged.tolist()
+
+
+@pytest.mark.parametrize("coupling_strength", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vector_solve_matches_block_of_one(seed, coupling_strength):
+    # One realization is swept as a (p,) vector, a block as (m, p) rows; the
+    # two loops give the same bits, sweeps, residuals and history.
+    config = ProblemConfig(
+        3, 1, (2, 2, 2), (4, 5, 3), coupling_strength=coupling_strength, seed=seed
+    )
+    system = assemble(generate(config))
+    rng = np.random.default_rng(seed)
+    x = rng.random(system.d)
+    center = solve_mda(system, x).y
+    for u in (None, 0.01 * rng.standard_normal(system.p)):
+        U = np.zeros((1, system.p)) if u is None else u[None, :]
+        for method in ("jacobi", "gauss_seidel"):
+            for settings in (MDASettings(method), MDASettings(method, tol=1e-9, max_iter=4)):
+                for y0 in (None, center):
+                    one = solve_mda(system, x, u, settings, y0)
+                    assert_same_solve(one, solve_mda(system, x, U, settings, y0))
+
+
+def test_zero_start_keeps_the_sign_of_zero():
+    # a[1] = -0.0 with a zero row of D and u[1] = -0.0 put a -0.0 in rhs.
+    # rhs + B @ 0 turns it into +0.0, and so must the zero start, which
+    # skips that product. A decoupled system stops after its first sweep,
+    # so the first iterate is the returned y.
+    system = BlockSystem(
+        C=np.eye(3),
+        D=np.array([[0.5, 0.0], [0.0, 0.0], [0.25, 1.0]]),
+        a=np.array([1.0, -0.0, 2.0]),
+        p_coupling=(1, 1, 1),
+        d_shared=1,
+    )
+    x = np.array([0.5, 0.25])
+    u = np.array([0.0, -0.0, 0.0])
+    rhs = system.a - system.D @ x + u
+    assert np.signbit(rhs[1])
+    for method in ("jacobi", "gauss_seidel"):
+        settings = MDASettings(method)
+        one = solve_mda(system, x, u, settings)
+        assert one.iterations == 1
+        assert one.y.tobytes() == (rhs + system.iteration_matrix @ np.zeros(3)).tobytes()
+        assert not np.signbit(one.y[1])
+        assert_same_solve(one, solve_mda(system, x, np.tile(u, (1, 1)), settings))
+        block = solve_mda(system, x, np.tile(u, (4, 1)), settings)
+        assert all(row.tobytes() == one.y.tobytes() for row in block.y)
+
+
 # --- one evaluation of h per Jacobi sweep, and the residual it measures ----------
 
 
@@ -297,8 +356,10 @@ def noisy_block(seed, m):
 
 @pytest.mark.parametrize("m", [1, 20])
 def test_jacobi_sweep_evaluates_h_once(monkeypatch, m):
-    # s sweeps take s + 1 products with B: the first iterate's residual needs
-    # h(y_1), and every later h is also the next iterate.
+    # s sweeps from the zero start take s products with B: every h is also
+    # the next iterate, and the first, h(0) = rhs, needs no product. A warm
+    # start takes s + 1, the first being B @ y0 as one vector product, not
+    # one per row of the block.
     import umdobench.mda as mda
 
     system, x, U = noisy_block(seed=1, m=m)
@@ -307,18 +368,20 @@ def test_jacobi_sweep_evaluates_h_once(monkeypatch, m):
     original = mda._matvec
 
     def counted(A, Y):
-        products.append(A is B)
+        products.append((A is B, Y.ndim))
         return original(A, Y)
 
     monkeypatch.setattr(mda, "_matvec", counted)
     center = solve_mda(system, x).y
+    ndim = 1 if m == 1 else 2
     for settings in (MDASettings(tol=1e-8, max_iter=200), MDASettings(tol=1e-8, max_iter=5)):
         for y0 in (None, center):
             products.clear()
             result = solve_mda(system, x, U if m > 1 else U[0], settings, y0)
             sweeps = int(result.row_iterations.max())
             assert sweeps == len(result.residual_history)
-            assert products == [True] * (sweeps + 1)
+            first = [] if y0 is None else [(True, 1)]
+            assert products == first + [(True, ndim)] * sweeps
 
 
 @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
