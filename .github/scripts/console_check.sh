@@ -23,11 +23,23 @@ test "$status" -eq 2
 status=0
 umdo-bench solve-ref p.json --statistic margin --sigma nan || status=$?
 test "$status" -eq 2
+# So are out-of-range counts and a missing --epsilon.
+status=0
+umdo-bench benchmark p.json --repetitions 0 || status=$?
+test "$status" -eq 2
+status=0
+umdo-bench benchmark p.json --workers 0 || status=$?
+test "$status" -eq 2
+status=0
+umdo-bench solve-ref p.json --statistic probability || status=$?
+test "$status" -eq 2
 # A file that is not UTF-8 is malformed, exit code 4.
 printf '\xff{}' > latin1.json
 status=0
 umdo-bench solve-ref latin1.json || status=$?
 test "$status" -eq 4
+umdo-bench benchmark p.json --statistic none --repetitions 1 --out expectation
+python -c "import json; assert json.load(open('expectation.json'))['statistic']['constraint_stat'] == 'expectation'"
 umdo-bench benchmark p.json --repetitions 1 --out report
 test -s report.json && test -s report.csv
 # solve-ref writes the same record as the report's reference block.

@@ -44,8 +44,9 @@ for k, r in enumerate(jacobi.residual_history[:8]):
 ############################################################
 # Warm starts
 #
-# Reusing the coupling state of a nearby design point saves sweeps; this
-# is what the optimization driver does between iterates.
+# Reusing the coupling state of a nearby design point saves sweeps. The
+# optimization driver does not: it carries no coupling state from one design
+# point to the next, so each evaluation is a pure function of (x, seed).
 
 x_next = x + 0.01
 cold = solve_mda(system, x_next, settings=MDASettings(tol=1e-8, max_iter=200))

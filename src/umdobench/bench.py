@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import os
 import platform
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
@@ -60,9 +59,6 @@ __all__ = [
     "run_benchmark",
     "write_report",
 ]
-
-THREADS_ENV = "UMDO_BENCH_THREADS"
-
 
 def default_benchmark_problem(seed: int = 70, sigma_std: float = 0.01):
     """Two-discipline tuned instance used by the demos and the CLI examples.
@@ -228,21 +224,6 @@ def _execute_run(
         return {"estimator": label, "rep": rep, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _resolve_workers(workers: int | None, n_tasks: int) -> int:
-    if workers is None:
-        env = os.environ.get(THREADS_ENV, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        else:
-            workers = 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return min(workers, max(n_tasks, 1))
-
-
 def _summarize(label: str, rows: list[BenchmarkRun]) -> EstimatorSummary:
     errs = np.array([[r.dx_pct, r.df_pct, r.dg_pct] for r in rows], dtype=float)
     n = len(rows)
@@ -270,7 +251,7 @@ def run_benchmark(
     optimizer: OptimizerSettings | None = None,
     mda_settings: MDASettings | None = None,
     base_seed: int = 1000,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> BenchmarkReport:
     """Score every estimator against the reference solution of ``problem``.
 
@@ -281,18 +262,19 @@ def run_benchmark(
     is an :class:`~umdobench.problem.UncertaintyModel` whose ``p_coupling``
     matches the problem's, or None for the model stored on the problem (zero
     noise if the problem has none). The reference QP and every run read one
-    assembled system. Runs execute in a process pool whose size is
-    ``workers``, else the ``UMDO_BENCH_THREADS`` environment variable, else
-    one; results do not depend on the pool size.
+    assembled system. Runs execute in a process pool of
+    ``min(workers, runs)`` processes, serially when that is one; results do
+    not depend on the pool size.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     parsed = _parse_estimators(estimators)
     seeds = {
         label: [base_seed + rep for rep in range(repetitions if kind == "mc" else 1)]
         for label, kind, _ in parsed
     }
-    n_workers = _resolve_workers(workers, sum(map(len, seeds.values())))
     spec = spec if spec is not None else StatisticSpec(constraint_stat="margin", kappa=2.0)
     optimizer = optimizer if optimizer is not None else OptimizerSettings()
     model = _noise_model(
@@ -320,6 +302,7 @@ def run_benchmark(
         for label, kind, m in parsed
         for rep, seed in enumerate(seeds[label])
     ]
+    n_workers = min(workers, len(tasks))
     if n_workers == 1:
         outcomes = [execute(*task) for task in tasks]
     else:

@@ -46,11 +46,6 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -102,25 +97,20 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_generate(args) -> int:
-    try:
-        config = ProblemConfig(
-            n_disciplines=args.disciplines,
-            d_shared=args.shared,
-            d_local=args.local,
-            p_coupling=args.coupling,
-            coupling_strength=args.coupling_strength,
-            feasibility_level=args.alpha_t,
-            seed=args.seed,
-        )
-        uncertainty = (
-            None
-            if args.sigma is None
-            else UncertaintyModel.isotropic(config.p_coupling, args.sigma)
-        )
-        if args.samples < 2:
-            raise ValueError("--samples must be >= 2")
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    config = ProblemConfig(
+        n_disciplines=args.disciplines,
+        d_shared=args.shared,
+        d_local=args.local,
+        p_coupling=args.coupling,
+        coupling_strength=args.coupling_strength,
+        feasibility_level=args.alpha_t,
+        seed=args.seed,
+    )
+    uncertainty = (
+        None if args.sigma is None else UncertaintyModel.isotropic(config.p_coupling, args.sigma)
+    )
+    if args.samples < 2:
+        raise ValueError("--samples must be >= 2")
     problem = generate(config)
     problem.uncertainty = uncertainty
     quantile_seed = args.quantile_seed if args.quantile_seed is not None else args.seed + 1
@@ -133,15 +123,10 @@ def cmd_generate(args) -> int:
 
 def cmd_tune(args) -> int:
     problem = _load_problem(args.problem)
-    try:
-        if args.alpha_t is not None:
-            problem.config = dataclasses.replace(
-                problem.config, feasibility_level=args.alpha_t
-            )
-        if args.samples < 2:
-            raise ValueError("--samples must be >= 2")
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    if args.alpha_t is not None:
+        problem.config = dataclasses.replace(problem.config, feasibility_level=args.alpha_t)
+    if args.samples < 2:
+        raise ValueError("--samples must be >= 2")
     quantile_seed = (
         args.quantile_seed if args.quantile_seed is not None else problem.config.seed + 1
     )
@@ -155,10 +140,7 @@ def cmd_tune(args) -> int:
 
 def cmd_solve_ref(args) -> int:
     problem = _load_problem(args.problem)
-    try:
-        qp = _reduce_reference(problem, args.statistic, args.kappa, args.epsilon, args.sigma)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    qp = _reduce_reference(problem, args.statistic, args.kappa, args.epsilon, args.sigma)
     solution = solve_qp(qp)
     _write_json(_record(solution), args.out)
     if solution.status == "infeasible":
@@ -170,40 +152,34 @@ def cmd_solve_ref(args) -> int:
 
 def cmd_solve_mdf(args) -> int:
     problem = _load_problem(args.problem)
-    try:
-        kind, m = parse_estimator(args.estimator)
-        spec = _statistic_spec(args.statistic, args.kappa)
-        settings = OptimizerSettings(max_iter=args.max_iter)
-        evaluator = RobustEvaluator(
-            assemble(problem),
-            problem.t,
-            _sigma_model(problem, args.sigma),
-            spec,
-            kind,
-            m=m,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    kind, m = parse_estimator(args.estimator)
+    spec = _statistic_spec(args.statistic, args.kappa)
+    settings = OptimizerSettings(max_iter=args.max_iter)
+    evaluator = RobustEvaluator(
+        assemble(problem),
+        problem.t,
+        _sigma_model(problem, args.sigma),
+        spec,
+        kind,
+        m=m,
+        seed=args.seed,
+    )
     _write_json(_record(optimize(evaluator, settings)), args.out)
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
     problem = _load_problem(args.problem)
-    try:
-        report = run_benchmark(
-            problem,
-            tuple(part.strip() for part in args.estimators.split(",") if part.strip()),
-            repetitions=args.repetitions,
-            spec=_statistic_spec(args.statistic, args.kappa),
-            sigma=_sigma_model(problem, args.sigma),
-            optimizer=OptimizerSettings(max_iter=args.max_iter),
-            base_seed=args.seed,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    report = run_benchmark(
+        problem,
+        tuple(part.strip() for part in args.estimators.split(",") if part.strip()),
+        repetitions=args.repetitions,
+        spec=_statistic_spec(args.statistic, args.kappa),
+        sigma=_sigma_model(problem, args.sigma),
+        optimizer=OptimizerSettings(max_iter=args.max_iter),
+        base_seed=args.seed,
+        workers=args.workers,
+    )
     for summary in report.estimators:
         print(
             f"{summary.estimator}: dx={summary.mean_dx_pct:.4f}% "
@@ -225,10 +201,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_export_qp(args) -> int:
     problem = _load_problem(args.problem)
-    try:
-        qp = _reduce_reference(problem, args.statistic, args.kappa, args.epsilon, args.sigma)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    qp = _reduce_reference(problem, args.statistic, args.kappa, args.epsilon, args.sigma)
     Path(args.out).write_bytes(export_qp(qp))
     print(args.out)
     return EXIT_OK
@@ -307,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sigma_flag(p)
     p.add_argument("--seed", type=int, default=1000, help="base sampler seed; repetition r uses seed + r")
     p.add_argument("--max-iter", type=int, default=100, help="optimizer iteration budget")
-    p.add_argument("--workers", type=int, default=None, help="process pool size (default: UMDO_BENCH_THREADS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="process pool size")
     p.add_argument("--out", default=None, help="report base path; writes <base>.json and <base>.csv")
     p.set_defaults(func=cmd_benchmark)
 
@@ -330,6 +303,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except ValueError as exc:  # an argument the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except InfeasibleReferenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

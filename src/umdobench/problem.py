@@ -485,8 +485,8 @@ def tune_feasibility(
 # a float is ``format(x, ".17g")``, except that -0.0, which would print as
 # ``-0`` and read back as the int 0, is written as ``-0.0``.
 #
-# ``_pieces`` walks the document once into literal text and the 1-D or 2-D
-# arrays, and cuts the arrays' values, in document order, into chunks of
+# ``_pieces`` walks the document once into literal text and arrays of at most
+# two dimensions, and cuts their values, in document order, into chunks of
 # ``_CHUNK`` values, so the working set stays at about 2 MB (one chunk's kernel
 # temporaries) at any problem size. ``serialize`` writes the pieces into one
 # buffer and ``problem_digest`` hashes them, one at a time. A chunk is
@@ -555,15 +555,13 @@ def _fmt_float(x) -> str:
 
 def _tokens(obj, out):
     """Append the JSON text of ``obj`` to ``out`` as literal strings, and as
-    the 1-D or 2-D float arrays whose values, with the separators between
-    them, are still to be formatted."""
+    the float arrays of at most two dimensions whose values, with the
+    separators between them, are still to be formatted."""
     if isinstance(obj, np.ndarray):
         arr = np.asarray(obj, dtype=float)
         if not np.isfinite(arr).all():
             raise ValueError("cannot serialize non-finite value")
-        if arr.ndim == 0:
-            out.append(_fmt_float(arr))
-        elif arr.ndim > 2 or arr.size == 0:  # as lists of its sub-arrays
+        if arr.ndim > 2 or arr.size == 0:  # as lists of its sub-arrays
             _tokens(list(arr), out)
         else:
             out += ("[" * arr.ndim, arr, "]" * arr.ndim)
@@ -586,8 +584,6 @@ def _tokens(obj, out):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -619,6 +615,10 @@ def _pieces(obj):
 def _emit(obj) -> str:
     """Canonical JSON text of ``obj``; arrays are nested lists of floats."""
     return b"".join(_pieces(obj)).decode("ascii")
+
+
+# The top-level keys that _document writes; deserialize rejects any other.
+_DOCUMENT_KEYS = ("version", "config", "a", "D_shared", "D_local", "C_blocks", "t", "sigma_blocks")
 
 
 def _document(problem: ScalableProblem) -> dict:
@@ -728,7 +728,8 @@ def deserialize(data: bytes | str) -> ScalableProblem:
     ProblemVersionError
         If the file declares a different format version.
     ProblemFormatError
-        If a field is missing or malformed; the error names the field path.
+        If a field is missing, malformed or unknown, or a coupling block is
+        listed twice; the error names the field path.
         Data that does not parse as UTF-8 JSON, including nesting deeper than
         the interpreter's recursion limit, names the field ``<root>``.
     """
@@ -747,6 +748,9 @@ def deserialize(data: bytes | str) -> ScalableProblem:
             f"unsupported format version {version!r} (expected {FORMAT_VERSION})",
             field="version",
         )
+    for key in doc:
+        if key not in _DOCUMENT_KEYS:
+            raise ProblemFormatError("unknown field", field=key)
 
     cfg_doc = _require(doc, "config", "")
     values = {
@@ -785,6 +789,8 @@ def deserialize(data: bytes | str) -> ScalableProblem:
         i, j = _as_int(entry[0], "C_blocks"), _as_int(entry[1], "C_blocks")
         if not (0 <= i < n and 0 <= j < n and i != j):
             raise ProblemFormatError(f"invalid block index ({i}, {j})", field="C_blocks")
+        if (i, j) in C_blocks:
+            raise ProblemFormatError(f"repeated block index ({i}, {j})", field="C_blocks")
         C_blocks[(i, j)] = _as_array(
             entry[2],
             (config.p_coupling[i], config.p_coupling[j]),

@@ -1,9 +1,9 @@
 """Convex-QP reductions and the interior-point reference solver.
 
 Eliminating the coupling variables through the exact linear map turns the
-deterministic problem into a box-constrained convex QP
+deterministic problem into a convex QP over the unit design box
 
-    min 0.5 x'Qx + c'x + d0   s.t.  A x <= b,  lower <= x <= upper
+    min 0.5 x'Qx + c'x + d0   s.t.  A x <= b,  0 <= x <= 1
 
 with Q = 2(beta'beta + I_s), c = 2 beta'alpha, d0 = alpha'alpha, A = -beta
 and b = alpha - t, where I_s is the identity on the first d_shared (shared)
@@ -47,11 +47,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QPData:
-    """A box-constrained inequality QP: min 0.5 x'Qx + c'x + d0, Ax <= b.
+    """An inequality QP on the unit box: min 0.5 x'Qx + c'x + d0 subject to
+    Ax <= b and 0 <= x <= 1.
 
     ``d0`` is an additive objective constant carried along so that optimal
-    values can be compared across problem variants. Bounds default to the
-    unit box.
+    values can be compared across problem variants.
     """
 
     Q: np.ndarray
@@ -59,8 +59,6 @@ class QPData:
     d0: float
     A: np.ndarray
     b: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -78,25 +76,13 @@ class QPData:
             raise ValueError(f"A must have {d} columns, got {A.shape}")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have length {A.shape[0]}, got {b.shape}")
-        lower = np.zeros(d) if self.lower is None else np.asarray(self.lower, float)
-        upper = np.ones(d) if self.upper is None else np.asarray(self.upper, float)
-        if lower.shape != (d,) or upper.shape != (d,):
-            raise ValueError("bounds must have the design dimension")
-        if np.any(lower >= upper):
-            raise ValueError("lower bounds must be strictly below upper bounds")
-        for name, value in (
-            ("Q", Q), ("c", c), ("A", A), ("b", b), ("lower", lower), ("upper", upper)
-        ):
+        for name, value in (("Q", Q), ("c", c), ("A", A), ("b", b)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "d0", float(self.d0))
 
     @property
     def dim(self) -> int:
         return self.c.size
-
-    @property
-    def n_constraints(self) -> int:
-        return self.A.shape[0]
 
     def objective(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -161,8 +147,6 @@ def reduce_margin(system, t: float, sigma, kappa: float) -> QPData:
         d0=base.d0 + float(var.sum()),
         A=base.A,
         b=base.b - kappa * np.sqrt(var),
-        lower=base.lower,
-        upper=base.upper,
     )
 
 
@@ -193,11 +177,11 @@ def check_positive_definite(qp: QPData) -> tuple[bool, float]:
 
 
 def _stack_inequalities(qp: QPData):
-    """Fold the box into the inequality system G x <= h."""
+    """Fold the unit box into the inequality system G x <= h."""
     d = qp.dim
     eye = np.eye(d)
     G = np.vstack([qp.A, eye, -eye])
-    h = np.concatenate([qp.b, qp.upper, -qp.lower])
+    h = np.concatenate([qp.b, np.ones(d), -np.zeros(d)])  # x <= 1 and -x <= -0
     return G, h
 
 
@@ -228,7 +212,7 @@ def solve_qp(qp: QPData, tol: float = 1e-9) -> QPSolution:
     d, m = qp.dim, G.shape[0]
     Q, c = qp.Q, qp.c
 
-    x = 0.5 * (qp.lower + qp.upper)
+    x = np.full(d, 0.5)
     s = np.maximum(h - G @ x, 1e-2)
     z = np.ones(m)
 
@@ -247,10 +231,7 @@ def solve_qp(qp: QPData, tol: float = 1e-9) -> QPSolution:
     mu_target = 1e-3 * tol
     for iterations in range(1, _MAX_ITER + 1):
         r_d, r_p, mu = residuals(x, s, z)
-        feas = max(
-            float(np.abs(r_d).max()),
-            float(np.abs(r_p).max()) if m else 0.0,
-        )
+        feas = max(float(np.abs(r_d).max()), float(np.abs(r_p).max()))
         kkt = max(feas, float(mu))
         if feas <= tol and mu <= mu_target:
             status = "optimal"
@@ -296,17 +277,15 @@ def solve_qp(qp: QPData, tol: float = 1e-9) -> QPSolution:
         # Corrector step re-using the factorization.
         dx, ds, dz = newton_step(s * z + ds_a * dz_a - sigma * mu)
         alpha = 0.995 * min(max_step(s, ds), max_step(z, dz))
-        alpha = min(1.0, alpha)
 
         x = x + alpha * dx
         s = s + alpha * ds
         z = z + alpha * dz
 
-    n_true = qp.n_constraints
     return QPSolution(
         x_star=x,
         f_star=qp.objective(x),
-        g_star=qp.constraints(x) if n_true else np.zeros(0),
+        g_star=qp.constraints(x),
         kkt_residual=float(kkt),
         status=status,
         iterations=iterations,
@@ -314,5 +293,7 @@ def solve_qp(qp: QPData, tol: float = 1e-9) -> QPSolution:
 
 
 def export_qp(qp: QPData) -> bytes:
-    """Render the QP as canonical JSON bytes for external cross-checks."""
-    return _emit(asdict(qp)).encode("ascii")
+    """Render the QP as canonical JSON bytes for external cross-checks; the
+    unit box follows ``b`` as ``lower`` and ``upper``."""
+    box = {"lower": np.zeros(qp.dim), "upper": np.ones(qp.dim)}
+    return _emit({**asdict(qp), **box}).encode("ascii")

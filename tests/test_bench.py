@@ -263,17 +263,6 @@ def test_argument_validation():
         )
 
 
-def test_worker_resolution_from_environment(monkeypatch):
-    monkeypatch.delenv(bench.THREADS_ENV, raising=False)
-    assert bench._resolve_workers(None, 10) == 1
-    monkeypatch.setenv(bench.THREADS_ENV, "3")
-    assert bench._resolve_workers(None, 10) == 3
-    assert bench._resolve_workers(None, 2) == 2
-    monkeypatch.setenv(bench.THREADS_ENV, "many")
-    with pytest.raises(ValueError, match=bench.THREADS_ENV):
-        bench._resolve_workers(None, 2)
-
-
 def test_default_problem_is_tuned_and_noisy():
     problem = default_benchmark_problem()
     assert problem.config.n_disciplines == 2

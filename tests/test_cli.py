@@ -6,9 +6,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import umdobench.bench as bench_mod
 import umdobench.qp as qp_mod
 from umdobench.cli import main
 from umdobench.driver import RunResult
+from umdobench.errors import NumericalError
 from umdobench.problem import assemble, deserialize, problem_digest
 from umdobench.qp import export_qp, reduce_deterministic, reduce_margin, solve_qp
 
@@ -231,6 +233,13 @@ def test_tune_rejects_bad_level(problem_path):
     assert main(["tune", str(problem_path), "--alpha-t", "0", "--out", "/dev/null"]) == 2
 
 
+def test_tune_rejects_too_few_tuning_samples(problem_path, tmp_path, capsys):
+    out = tmp_path / "retuned.json"
+    assert main(["tune", str(problem_path), "--samples", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == "error: --samples must be >= 2"
+    assert not out.exists()
+
+
 def test_solve_mdf_exact_reaches_margin_reference(problem_path, capsys):
     argv = [
         "solve-mdf", str(problem_path), "--estimator", "exact",
@@ -248,6 +257,53 @@ def test_solve_mdf_exact_reaches_margin_reference(problem_path, capsys):
     ref = solve_qp(reduce_margin(system, problem.t, problem.uncertainty.sigma, 2.0))
     assert abs(payload["f_opt"] - ref.f_star) <= 1e-3 * abs(ref.f_star)
     assert np.linalg.norm(np.array(payload["x_opt"]) - ref.x_star) <= 1e-3 * np.linalg.norm(ref.x_star)
+
+
+def test_statistic_none_is_the_expectation(problem_path, tmp_path, capsys):
+    # The expectation keeps the noise-energy constant and shifts no
+    # constraint row: the margin reference at kappa 0.
+    problem = load(problem_path)
+    system = assemble(problem)
+    ref = solve_qp(reduce_margin(system, problem.t, problem.uncertainty.sigma, 0.0))
+    argv = [
+        "solve-mdf", str(problem_path), "--estimator", "exact",
+        "--statistic", "none", "--max-iter", "400",
+    ]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True
+    assert abs(payload["f_opt"] - ref.f_star) <= 1e-3 * abs(ref.f_star)
+    assert np.linalg.norm(np.array(payload["x_opt"]) - ref.x_star) <= 1e-3 * np.linalg.norm(ref.x_star)
+
+    base = tmp_path / "report"
+    argv = [
+        "benchmark", str(problem_path), "--estimators", "exact", "--statistic", "none",
+        "--repetitions", "1", "--out", str(base),
+    ]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["statistic"] == {"constraint_stat": "expectation", "kappa": 0.0}
+    assert report["reference"]["x_star"] == ref.x_star.tolist()
+    assert report["reference"]["f_star"] == ref.f_star
+
+
+def test_benchmark_reports_failed_runs_and_exits_0(problem_path, monkeypatch, capsys):
+    real_optimize = bench_mod.optimize
+
+    def flaky(evaluator, settings=None):
+        if evaluator.estimator == "taylor":
+            raise NumericalError("synthetic failure")
+        return real_optimize(evaluator, settings)
+
+    monkeypatch.setattr(bench_mod, "optimize", flaky)
+    argv = [
+        "benchmark", str(problem_path), "--estimators", "exact,taylor",
+        "--repetitions", "1", "--max-iter", "30",
+    ]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "failed: taylor rep 0: NumericalError: synthetic failure\n"
+    assert "exact: dx=" in captured.out
 
 
 def test_solve_mdf_rejects_bad_estimator(problem_path, capsys):
@@ -294,12 +350,6 @@ def test_benchmark_rejects_zero_workers(problem_path, capsys):
     argv = ["benchmark", str(problem_path), "--estimators", "exact", "--workers", "0"]
     assert main(argv) == 2
     assert "workers" in capsys.readouterr().err
-
-
-def test_benchmark_rejects_bad_worker_environment(problem_path, monkeypatch, capsys):
-    monkeypatch.setenv("UMDO_BENCH_THREADS", "many")
-    assert main(["benchmark", str(problem_path), "--estimators", "exact"]) == 2
-    assert "UMDO_BENCH_THREADS" in capsys.readouterr().err
 
 
 def test_benchmark_rejects_probability_statistic(problem_path, capsys):

@@ -587,6 +587,11 @@ def test_deserialize_rejects_bad_inputs(small_config):
     def huge_a(doc):
         doc["a"][0] = 10**400  # numpy raises OverflowError converting it
 
+    def not_psd_sigma_block(doc):
+        blocks = [np.eye(p).tolist() for p in doc["config"]["p_coupling"]]
+        blocks[0][0][0] = -1.0
+        doc["sigma_blocks"] = blocks
+
     cases = [
         (non_numeric_a, "a"),
         (lambda doc: doc.update(t="abc"), "t"),
@@ -613,6 +618,14 @@ def test_deserialize_rejects_bad_inputs(small_config):
         (infinite_c_block, "C_blocks[0,1]"),
         (nan_sigma_block, "sigma_blocks[0]"),
         (huge_a, "a"),
+        (lambda doc: doc.update(C_blocks=1.0), "C_blocks"),
+        (lambda doc: doc["C_blocks"][0].pop(), "C_blocks"),  # a pair, not a triple
+        (set_index(0, 5), "C_blocks"),  # out of range
+        (set_index(1, 0), "C_blocks"),  # i == j
+        (lambda doc: doc["C_blocks"].pop(), "C_blocks"),  # a block missing
+        (set_config("coupling_strength", 1.5), "config"),
+        (not_psd_sigma_block, "sigma_blocks"),
+        (lambda doc: doc.update(comment="hand-edited"), "comment"),
     ]
     for corrupt, field in cases:
         doc = json.loads(payload)
@@ -620,6 +633,15 @@ def test_deserialize_rejects_bad_inputs(small_config):
         with pytest.raises(ProblemFormatError) as err:
             deserialize(json.dumps(doc))
         assert err.value.field == field
+
+    # Every block is present, and (0, 1) is listed a second time with another
+    # matrix; the later one must not silently replace the first.
+    doc = json.loads(payload)
+    i, j, block = doc["C_blocks"][0]
+    doc["C_blocks"].append([i, j, (2.0 * np.asarray(block)).tolist()])
+    with pytest.raises(ProblemFormatError, match=r"\(0, 1\)") as err:
+        deserialize(json.dumps(doc))
+    assert err.value.field == "C_blocks"
 
     # Data json cannot parse, whatever the error it raises.
     for data in (

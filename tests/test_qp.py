@@ -231,7 +231,7 @@ def test_solver_matches_projected_gradient_oracle():
     assert sol.status == "optimal"
     assert sol.kkt_residual <= 1e-8
     x_pg = solve_qp_projected_gradient(
-        qp.Q, qp.c, qp.A, qp.b, qp.lower, qp.upper, n_iter=2000
+        qp.Q, qp.c, qp.A, qp.b, np.zeros(qp.dim), np.ones(qp.dim), n_iter=2000
     )
     f_pg = qp.objective(x_pg)
     assert abs(sol.f_star - f_pg) <= 1e-6 * (1.0 + abs(f_pg))
@@ -258,8 +258,8 @@ def test_solver_feasibility_of_optimal_solutions():
             sol = solve_qp(qp)
             assert sol.status == "optimal"
             assert np.all(sol.g_star <= 1e-8)
-            assert np.all(sol.x_star >= qp.lower - 1e-8)
-            assert np.all(sol.x_star <= qp.upper + 1e-8)
+            assert np.all(sol.x_star >= -1e-8)
+            assert np.all(sol.x_star <= 1.0 + 1e-8)
 
 
 def test_solver_objective_nondecreasing_in_margin_level():
@@ -314,9 +314,6 @@ def test_qpdata_validation():
         QPData(Q=[[1.0, 0.5], [0.0, 1.0]], c=[0.0, 0.0], d0=0.0, A=np.zeros((0, 2)), b=np.zeros(0))
     with pytest.raises(ValueError):
         QPData(Q=np.eye(2), c=np.zeros(2), d0=0.0, A=np.zeros((2, 2)), b=np.zeros(3))
-    with pytest.raises(ValueError):
-        QPData(Q=np.eye(1), c=np.zeros(1), d0=0.0, A=np.zeros((0, 1)), b=np.zeros(0),
-               lower=np.ones(1), upper=np.zeros(1))
 
 
 def test_export_roundtrip():
