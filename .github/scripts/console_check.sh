@@ -10,6 +10,9 @@ set -eo pipefail
 P_JSON_SHA256=47a68fb0dd072465964b5ae5e685ace668d28c8f3c1306eea9abf410b28cd55f
 
 cd "${RUNNER_TEMP:?RUNNER_TEMP must name a writable directory}"
+# Importing the package and its CLI loads no scipy module; scipy loads at
+# the first factorization.
+python -c "import sys, umdobench, umdobench.cli; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
 digest=$(umdo-bench generate --disciplines 2 --shared 1 --local 2,2 --coupling 3,3 \
     --seed 42 --sigma 0.01 --out p.json)
 # The printed digest is the file's sha256 and the pinned value.
@@ -33,11 +36,24 @@ test "$status" -eq 2
 status=0
 umdo-bench solve-ref p.json --statistic probability || status=$?
 test "$status" -eq 2
+# A sample size in non-ASCII digits is a usage error before any run.
+rm -f r.json r.csv
+status=0
+umdo-bench benchmark p.json --estimators mc:２０ --out r || status=$?
+test "$status" -eq 2
+test ! -e r.json
 # A file that is not UTF-8 is malformed, exit code 4.
 printf '\xff{}' > latin1.json
 status=0
 umdo-bench solve-ref latin1.json || status=$?
 test "$status" -eq 4
+# Finite values whose reduction overflows are a runtime error, exit code 4,
+# and no NaN reaches the output.
+python -c "import json; d = json.load(open('p.json')); d['a'] = [1e300] * len(d['a']); json.dump(d, open('big.json', 'w'))"
+status=0
+umdo-bench solve-ref big.json --statistic margin > big.out || status=$?
+test "$status" -eq 4
+if grep -q NaN big.out; then echo "solve-ref printed NaN" >&2; exit 1; fi
 umdo-bench benchmark p.json --statistic none --repetitions 1 --out expectation
 python -c "import json; assert json.load(open('expectation.json'))['statistic']['constraint_stat'] == 'expectation'"
 umdo-bench benchmark p.json --repetitions 1 --out report

@@ -18,12 +18,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import os
 import platform
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .driver import (
     _DEFAULT_M,
@@ -82,18 +82,20 @@ def default_benchmark_problem(seed: int = 70, sigma_std: float = 0.01):
 def parse_estimator(label: str) -> tuple[str, int | None]:
     """Split an estimator label into (kind, sample size).
 
-    ``"mc:200"`` gives ``("mc", 200)`` (bare ``"mc"`` defaults to 200);
-    ``"taylor"`` and ``"exact"`` take no sample size.
+    ``"mc:200"`` gives ``("mc", 200)`` (bare ``"mc"`` defaults to 200); a
+    sample size is written in ASCII digits. ``"taylor"`` and ``"exact"`` take
+    no sample size.
     """
     kind, _, arg = label.strip().partition(":")
     kind = kind.strip().lower()
     if kind not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {label!r}; expected one of {_ESTIMATORS}")
     if kind == "mc":
-        try:
-            m = int(arg) if arg else _DEFAULT_M
-        except ValueError:
-            raise ValueError(f"bad sample size in estimator label {label!r}") from None
+        arg = arg.strip()
+        # int() alone would also take "２０", "2_0" and "+20".
+        if arg and not (arg.isascii() and arg.isdigit()):
+            raise ValueError(f"bad sample size in estimator label {label!r}")
+        m = int(arg) if arg else _DEFAULT_M
         if m < 2:
             raise ValueError("mc sample size must be >= 2")
         return kind, m
@@ -172,7 +174,10 @@ class EstimatorSummary:
 class BenchmarkReport:
     """Full record of a benchmark: settings echo, reference, runs, aggregates.
 
-    ``environment`` names the library stack and machine that produced it.
+    ``environment`` names the library stack and machine that produced it:
+    the numpy and scipy versions, the BLAS each was built against (numpy and
+    scipy wheels bundle separate builds) and the BLAS/OpenMP thread
+    variables, on which the error metrics' last bits depend.
     """
 
     tool_version: str
@@ -339,22 +344,63 @@ def run_benchmark(
         runs=runs,
         estimators=summaries,
         failures=failures,
-        environment={
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "machine": platform.machine(),
-        },
+        environment=_environment(),
     )
+
+
+# Thread-count variables of the BLAS and OpenMP runtimes numpy and scipy load.
+_BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def _blas_name(module) -> str:
+    """``"<name> <version>"`` of the BLAS ``module`` was built against, or
+    ``"unknown"`` where its ``show_config`` has no ``mode`` (numpy < 1.25,
+    scipy < 1.11)."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version', '')}".strip()
+
+
+def _environment() -> dict:
+    import scipy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numpy_blas": _blas_name(np),
+        "scipy": scipy.__version__,
+        "scipy_blas": _blas_name(scipy),
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+        "machine": platform.machine(),
+    }
 
 
 # --- report output ------------------------------------------------------------
 
 
 def report_to_json(report: BenchmarkReport) -> bytes:
+    """The report as indented ASCII JSON.
+
+    Raises
+    ------
+    NumericalError
+        If a reported number is NaN or infinite, which JSON cannot hold.
+    """
     import json
 
-    return (json.dumps(report.to_dict(), indent=2) + "\n").encode("ascii")
+    try:
+        text = json.dumps(report.to_dict(), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report is not finite: {exc}") from None
+    return (text + "\n").encode("ascii")
 
 
 def report_to_csv(report: BenchmarkReport) -> str:

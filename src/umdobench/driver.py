@@ -12,8 +12,12 @@ reduction quantify the estimation error of each pipeline.
 An evaluator reads an assembled system and never builds one, so a
 benchmark's reference QP and all of its runs share one system and its caches.
 
-``scipy.optimize`` is loaded on the first :func:`optimize` call, not when
-the package is imported: the reference chain never needs it.
+Importing the package loads numpy and no scipy module. Each scipy module
+is imported by the code that calls it: ``scipy.optimize`` on the first
+:func:`optimize` call, which the reference chain never makes,
+``scipy.linalg`` at the first factorization and ``scipy.special`` at the
+first chance-constraint reduction. So a process that only builds,
+serializes or fingerprints problems never loads scipy.
 """
 
 from __future__ import annotations

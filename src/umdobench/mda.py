@@ -22,6 +22,9 @@ One noise realization is swept as a (p,) vector. A block of m realizations
 (m, p) iterate, whose converged rows leave the sweep. Its products are
 computed row by row with the gemv of a single solve, so each row gets bit for
 bit the result of a solve of its own.
+
+Only the direct method imports ``scipy.linalg``, for its triangular solves;
+the fixed-point sweeps use numpy alone.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["MDASettings", "MDAResult", "solve_mda"]
 
@@ -152,6 +154,8 @@ def solve_mda(
     rhs = system.a - system.D @ x + u
 
     if settings.method == "direct":
+        import scipy.linalg
+
         y = np.ascontiguousarray(scipy.linalg.lu_solve(system.lu, rhs.T, check_finite=False).T)
         residual = _row_norms(_matvec(system.C, y) - rhs)
         sweeps = 1 if u.ndim == 1 else np.ones(len(u), dtype=int)

@@ -12,6 +12,10 @@ matrix is strictly diagonally dominant (see :func:`generate`). The inequality
 constraints require every component of every y_i to stay above a scalar
 threshold ``t``, which :func:`tune_feasibility` calibrates so that a chosen
 fraction of the unit design hypercube is feasible.
+
+``scipy.linalg`` is first imported by :attr:`BlockSystem.lu`, the coupling
+matrix's factorization; generating, serializing, deserializing and
+fingerprinting a problem load no scipy module.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CapacityError,
@@ -171,7 +174,13 @@ class UncertaintyModel:
     @property
     def sigma(self) -> np.ndarray:
         """Assembled block-diagonal covariance, shape (p, p)."""
-        return scipy.linalg.block_diag(*self.sigma_blocks)
+        sigma = np.zeros((sum(self.p_coupling),) * 2)
+        start = 0
+        for b in self.sigma_blocks:
+            stop = start + b.shape[0]
+            sigma[start:stop, start:stop] = b
+            start = stop
+        return sigma
 
     @classmethod
     def isotropic(cls, p_coupling, std: float) -> "UncertaintyModel":
@@ -275,6 +284,8 @@ class BlockSystem:
         SingularCouplingError
             If a pivot of the factorization (numerically) vanishes.
         """
+        import scipy.linalg
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(self.C, check_finite=False)
@@ -297,6 +308,8 @@ class BlockSystem:
         ``beta = -P @ D`` the Jacobian with respect to the design and ``P``
         (the inverse coupling matrix) the Jacobian with respect to the noise.
         """
+        import scipy.linalg
+
         P = scipy.linalg.lu_solve(self.lu, np.eye(self.p), check_finite=False)
         alpha = P @ self.a
         beta = -P @ self.D

@@ -21,6 +21,10 @@ objective.
 Solutions come from a dense primal-dual path-following interior-point method
 (predictor-corrector), giving reference optima certified by their KKT
 residuals.
+
+``scipy.linalg`` (Cholesky) is first imported by :func:`solve_qp` and
+``scipy.special`` (``ndtri``) by :func:`reduce_probability`; the reductions
+themselves use numpy and the system's cached maps.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
+from .errors import NumericalError
 from .problem import _emit
 
 __all__ = [
@@ -51,7 +54,9 @@ class QPData:
     Ax <= b and 0 <= x <= 1.
 
     ``d0`` is an additive objective constant carried along so that optimal
-    values can be compared across problem variants.
+    values can be compared across problem variants. Every entry must be
+    finite: a reduction whose products overflow raises
+    :class:`~umdobench.errors.NumericalError` here, before any solve.
     """
 
     Q: np.ndarray
@@ -65,6 +70,10 @@ class QPData:
         c = np.asarray(self.c, dtype=float)
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
+        d0 = float(self.d0)
+        for name, value in (("Q", Q), ("c", c), ("d0", d0), ("A", A), ("b", b)):
+            if not np.isfinite(value).all():
+                raise NumericalError(f"QP data {name} is not finite")
         d = c.size
         if Q.shape != (d, d):
             raise ValueError(f"Q must have shape ({d}, {d}), got {Q.shape}")
@@ -78,7 +87,7 @@ class QPData:
             raise ValueError(f"b must have length {A.shape[0]}, got {b.shape}")
         for name, value in (("Q", Q), ("c", c), ("A", A), ("b", b)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "d0", float(self.d0))
+        object.__setattr__(self, "d0", d0)
 
     @property
     def dim(self) -> int:
@@ -161,6 +170,8 @@ def reduce_probability(system, t: float, epsilon: float, sigma) -> QPData:
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    import scipy.special
+
     return reduce_margin(system, t, sigma, -scipy.special.ndtri(epsilon))
 
 
@@ -208,6 +219,8 @@ def solve_qp(qp: QPData, tol: float = 1e-9) -> QPSolution:
     by the diverging duals (``G'z ~ 0`` with ``h'z < 0``) and reported as
     ``status="infeasible"`` rather than raised.
     """
+    import scipy.linalg
+
     G, h = _stack_inequalities(qp)
     d, m = qp.dim, G.shape[0]
     Q, c = qp.Q, qp.c

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import platform
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_parse_estimator_labels():
     assert parse_estimator(" MC:50 ") == ("mc", 50)
     assert parse_estimator("taylor") == ("taylor", None)
     assert parse_estimator("exact") == ("exact", None)
-    for bad in ("mc:1", "mc:abc", "taylor:5", "bogus"):
+    for bad in ("mc:1", "mc:abc", "taylor:5", "bogus", "mc:２０", "mc:2_0"):
         with pytest.raises(ValueError):
             parse_estimator(bad)
 
@@ -132,6 +133,31 @@ def test_write_report_keeps_dots_in_the_base_name(tmp_path, report):
     paths = write_report(report, tmp_path / "run.2024")
     assert paths == (tmp_path / "run.2024.json", tmp_path / "run.2024.csv")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.2024.csv", "run.2024.json"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_report_with_a_non_finite_number_is_not_written(tmp_path, report, value):
+    bad = dataclasses.replace(report, t=value)
+    with pytest.raises(NumericalError, match="not finite"):
+        report_to_json(bad)
+    with pytest.raises(NumericalError):
+        write_report(bad, tmp_path / "bad")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_blas_name_reads_the_build_configuration():
+    class Current:
+        @staticmethod
+        def show_config(mode="stdout"):
+            return {"Build Dependencies": {"blas": {"name": "openblas", "version": "0.3.30"}}}
+
+    class Floor:  # numpy 1.24 and scipy 1.10: show_config takes no mode
+        @staticmethod
+        def show_config():
+            return None
+
+    assert bench._blas_name(Current) == "openblas 0.3.30"
+    assert bench._blas_name(Floor) == "unknown"
 
 
 def test_process_pool_matches_serial_results():
@@ -288,7 +314,19 @@ def test_report_echoes_settings(report):
     assert payload["environment"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "numpy_blas": bench._blas_name(np),
         "scipy": scipy.__version__,
+        "scipy_blas": bench._blas_name(scipy),
+        "blas_threads": {
+            var: os.environ.get(var)
+            for var in (
+                "OMP_NUM_THREADS",
+                "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS",
+            )
+        },
         "machine": platform.machine(),
     }
     assert list(payload) == [

@@ -419,3 +419,51 @@ def test_non_finite_sigma_is_usage_error(problem_path, tmp_path, capsys, recwarn
     assert "finite" in captured.err
     assert len(recwarn) == 0
     assert not out.exists()
+
+
+def test_benchmark_rejects_non_ascii_sample_size_before_any_run(problem_path, tmp_path, capsys):
+    base = tmp_path / "r"
+    for label in ("mc:２０", "mc:2_0"):
+        argv = ["benchmark", str(problem_path), "--estimators", label, "--out", str(base)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "sample size" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _overflowing_file(problem_path, tmp_path, field):
+    """The problem file with finite entries whose reductions overflow."""
+    doc = json.loads(problem_path.read_bytes())
+    if field == "a":
+        doc["a"] = [1e300] * len(doc["a"])
+    else:
+        doc["D_shared"][0] = [[1e300] * len(row) for row in doc["D_shared"][0]]
+    path = tmp_path / f"{field}_1e300.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("field", ["a", "D_shared"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve-ref", "--statistic", "margin"],
+        ["solve-mdf", "--estimator", "taylor"],
+        ["export-qp", "--statistic", "margin", "--out", "QP"],
+        ["benchmark", "--estimators", "taylor", "--repetitions", "1"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_overflowing_values_exit_4_without_non_finite_output(
+    problem_path, tmp_path, capsys, field, command
+):
+    path = _overflowing_file(problem_path, tmp_path, field)
+    qp_out = tmp_path / "qp.json"
+    argv = [command[0], str(path)] + [str(qp_out) if a == "QP" else a for a in command[1:]]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not qp_out.exists()

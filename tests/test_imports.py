@@ -1,10 +1,14 @@
 """Importing the package loads only what it needs at import time.
 
-``scipy.stats`` and ``scipy.optimize`` together cost more than the rest of
-the import, and the reference chain uses neither; the process pool is only
-needed for parallel benchmarks. A top-level import of any of them fails here.
+No scipy module loads with the package: ``scipy.linalg`` alone costs more
+than the rest of the import together and loads with the first factorization,
+``scipy.special`` with the first chance-constraint reduction, and
+``scipy.optimize`` with the first optimizer run; the package never needs
+``scipy.stats``. The process pool is only needed for parallel benchmarks. A
+top-level import of any of them fails here.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +16,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DEFERRED = ("scipy.stats", "scipy.optimize", "concurrent.futures.process")
+DEFERRED = (
+    "scipy",
+    "scipy.linalg",
+    "scipy.special",
+    "scipy.stats",
+    "scipy.optimize",
+    "concurrent.futures.process",
+)
 
 PROBE = f"""
 import sys
@@ -22,26 +33,54 @@ print(",".join(m for m in {DEFERRED!r} if m in sys.modules))
 """
 
 
-def test_import_defers_unused_modules():
+def _run(probe):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", PROBE],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == ""
+    return result.stdout
+
+
+def test_import_defers_unused_modules():
+    assert _run(PROBE).strip() == ""
+
+
+def test_scipy_linalg_loads_at_the_first_factorization():
+    # Building, serializing and fingerprinting a problem factors nothing;
+    # tuning its threshold factors the coupling matrix. Deferring the import
+    # moves no bit: the digest and the reference optimum equal this process's.
+    probe = (
+        "import json, sys, umdobench\n"
+        "loaded = lambda: 'scipy.linalg' in sys.modules\n"
+        "states = [loaded()]\n"
+        "config = umdobench.ProblemConfig(2, 1, (2, 2), (3, 3), seed=70)\n"
+        "umdobench.problem_digest(umdobench.generate(config))\n"
+        "states.append(loaded())\n"
+        "problem = umdobench.default_benchmark_problem()\n"
+        "states.append(loaded())\n"
+        "system = umdobench.assemble(problem)\n"
+        "qp = umdobench.reduce_margin(system, problem.t, problem.uncertainty.sigma, 2.0)\n"
+        "x_star = [float(v).hex() for v in umdobench.solve_qp(qp).x_star]\n"
+        "digest = umdobench.problem_digest(problem)\n"
+        "print(json.dumps({'states': states, 'digest': digest, 'x_star': x_star}))\n"
+    )
+    import umdobench
+
+    out = json.loads(_run(probe))
+    assert out["states"] == [False, False, True]
+    problem = umdobench.default_benchmark_problem()
+    assert out["digest"] == umdobench.problem_digest(problem)
+    system = umdobench.assemble(problem)
+    qp = umdobench.reduce_margin(system, problem.t, problem.uncertainty.sigma, 2.0)
+    assert out["x_star"] == [float(v).hex() for v in umdobench.solve_qp(qp).x_star]
 
 
 def test_import_defers_the_array_formatter():
     # Without cached bytecode, compiling umdobench._floatfmt costs a few ms
     # and about 1 MiB of peak memory; only a file with a chunk of
     # _MIN_KERNEL values or more needs it, and the p = 6 problems never do.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = (
         "import sys, numpy, umdobench, umdobench.cli\n"
         "from umdobench.problem import _MIN_KERNEL, _emit\n"
@@ -52,11 +91,7 @@ def test_import_defers_the_array_formatter():
         "_emit(numpy.arange(float(_MIN_KERNEL)))\n"
         "print(*states, loaded())"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "False", "True"]
+    assert _run(probe).split() == ["False", "False", "True"]
 
 
 def test_public_names_resolve():

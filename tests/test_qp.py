@@ -316,6 +316,19 @@ def test_qpdata_validation():
         QPData(Q=np.eye(2), c=np.zeros(2), d0=0.0, A=np.zeros((2, 2)), b=np.zeros(3))
 
 
+@pytest.mark.parametrize("name", ["Q", "c", "d0", "A", "b"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_qpdata_rejects_non_finite_entries(name, bad):
+    fields = dict(Q=np.eye(2), c=np.zeros(2), d0=0.0, A=np.ones((1, 2)), b=np.zeros(1))
+    QPData(**fields)
+    if name == "d0":
+        fields["d0"] = bad
+    else:
+        fields[name].flat[-1] = bad
+    with pytest.raises(NumericalError, match=f"QP data {name} is not finite"):
+        QPData(**fields)
+
+
 def test_export_roundtrip():
     system, t = tuned_system(10)
     qp = reduce_deterministic(system, t)
