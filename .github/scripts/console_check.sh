@@ -54,6 +54,19 @@ status=0
 umdo-bench solve-ref big.json --statistic margin > big.out || status=$?
 test "$status" -eq 4
 if grep -q NaN big.out; then echo "solve-ref printed NaN" >&2; exit 1; fi
+# solve-mdf refuses such a file before any coupling solve: exit code 4 and
+# one error line, no numpy warnings.
+status=0
+umdo-bench solve-mdf big.json --estimator mc:20 2> big.err || status=$?
+test "$status" -eq 4
+test "$(wc -l < big.err)" -eq 1
+# At coupling strength 0.95 a Jacobi solve needs well over 30 sweeps; the
+# derived sweep budget converges every one, so no run fails.
+umdo-bench generate --disciplines 2 --shared 1 --local 2,2 --coupling 3,3 \
+    --coupling-strength 0.95 --seed 71 --sigma 0.01 --out strong.json > /dev/null
+umdo-bench benchmark strong.json --estimators mc:20,taylor --repetitions 2 \
+    --out strong_report 2> strong.err
+if grep -q "^failed:" strong.err; then cat strong.err >&2; exit 1; fi
 umdo-bench benchmark p.json --statistic none --repetitions 1 --out expectation
 python -c "import json; assert json.load(open('expectation.json'))['statistic']['constraint_stat'] == 'expectation'"
 umdo-bench benchmark p.json --repetitions 1 --out report

@@ -25,8 +25,8 @@ x = np.random.default_rng(0).random(system.d)
 # coupling keeps both contractive.
 
 direct = solve_mda(system, x, settings=MDASettings(method="direct"))
-jacobi = solve_mda(system, x, settings=MDASettings(method="jacobi", tol=1e-10, max_iter=200))
-seidel = solve_mda(system, x, settings=MDASettings(method="gauss_seidel", tol=1e-10, max_iter=200))
+jacobi = solve_mda(system, x, settings=MDASettings(method="jacobi", tol=1e-10))
+seidel = solve_mda(system, x, settings=MDASettings(method="gauss_seidel", tol=1e-10))
 
 print("direct residual:", f"{direct.residual:.2e}")
 print("jacobi iterations:", jacobi.iterations, "gap to direct:",
@@ -49,6 +49,20 @@ for k, r in enumerate(jacobi.residual_history[:8]):
 # point to the next, so each evaluation is a pure function of (x, seed).
 
 x_next = x + 0.01
-cold = solve_mda(system, x_next, settings=MDASettings(tol=1e-8, max_iter=200))
-warm = solve_mda(system, x_next, settings=MDASettings(tol=1e-8, max_iter=200), y0=jacobi.y)
+cold = solve_mda(system, x_next, settings=MDASettings(tol=1e-8))
+warm = solve_mda(system, x_next, settings=MDASettings(tol=1e-8), y0=jacobi.y)
 print("cold start sweeps:", cold.iterations, "| warm start sweeps:", warm.iterations)
+
+############################################################
+# The sweep budget
+#
+# The number of sweeps is not a setting. A solve still unconverged after 30
+# sweeps gets as many more as the contraction bound ||I - C||_inf, which
+# generation keeps below the coupling strength, says it needs; stronger
+# coupling therefore takes more sweeps, not an unconverged answer.
+
+for strength in (0.5, 0.9):
+    strong = assemble(generate(ProblemConfig(2, 1, (2, 2), (3, 3), coupling_strength=strength, seed=70)))
+    result = solve_mda(strong, np.full(strong.d, 0.5))
+    print(f"strength {strength}: ||I - C||_inf = {strong.iteration_norm:.3f},",
+          "sweeps:", result.iterations, "converged:", result.converged)

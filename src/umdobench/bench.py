@@ -386,21 +386,25 @@ def _environment() -> dict:
 # --- report output ------------------------------------------------------------
 
 
-def report_to_json(report: BenchmarkReport) -> bytes:
-    """The report as indented ASCII JSON.
+def _json_text(payload: dict) -> str:
+    """``payload`` as indented ASCII JSON text ending in a newline.
 
     Raises
     ------
     NumericalError
-        If a reported number is NaN or infinite, which JSON cannot hold.
+        If a number is NaN or infinite, which JSON cannot hold.
     """
     import json
 
     try:
-        text = json.dumps(report.to_dict(), indent=2, allow_nan=False)
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NumericalError(f"report is not finite: {exc}") from None
-    return (text + "\n").encode("ascii")
+        raise NumericalError(f"result is not finite: {exc}") from None
+
+
+def report_to_json(report: BenchmarkReport) -> bytes:
+    """The report as indented ASCII JSON; see :func:`_json_text`."""
+    return _json_text(report.to_dict()).encode("ascii")
 
 
 def report_to_csv(report: BenchmarkReport) -> str:

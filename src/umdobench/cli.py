@@ -19,9 +19,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import _record, parse_estimator, report_to_json, run_benchmark, write_report
+from .bench import _json_text, _record, parse_estimator, report_to_json, run_benchmark, write_report
 from .driver import OptimizerSettings, RobustEvaluator, _noise_model, optimize
-from .errors import InfeasibleReferenceError, NumericalError, UmdoBenchError
+from .errors import InfeasibleReferenceError, UmdoBenchError
 from .problem import (
     ProblemConfig,
     UncertaintyModel,
@@ -86,10 +86,7 @@ def _reduce_reference(problem, statistic: str, kappa: float, epsilon: float | No
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
-        raise NumericalError(f"result is not finite: {exc}") from None
+    text = _json_text(payload)
     if out:
         Path(out).write_text(text, encoding="ascii")
     else:

@@ -110,7 +110,8 @@ class RobustEvaluator:
     point costs one block coupling solve over all ``m`` realizations; the
     deterministic estimators ignore ``m``. ``point_converged`` says whether
     the cached evaluation converged: for ``taylor`` its coupling solve, for
-    ``mc`` every realization's (none was dropped); ``exact`` solves none.
+    ``mc`` every realization's (none was dropped) and, under a fixed-point
+    method, the mean-noise solve they start from; ``exact`` solves none.
 
     No solver state is carried between design points: every coupling solve
     starts from an iterate computed at the same point, so each evaluation is
@@ -127,15 +128,17 @@ class RobustEvaluator:
     evaluator is built, so its errors surface from the constructor rather
     than from the first evaluation:
 
+    * every estimator: the affine map's slope ``beta``, which the gradients
+      read. A singular coupling matrix, or outputs that can overflow over
+      the unit box, raise here, before any coupling solve.
     * ``mc``: the (m, p) noise sample, one ``GaussianSampler.draw(m, seed)``
       that every design point reuses; ``m`` and ``seed`` serve only this
       draw. Under a fixed-point method every realization starts from the
       mean-noise solution at the same point, one more coupling solve.
     * ``exact`` and ``taylor``: the propagated constraint std and, for
-      ``exact``, the noise energy (a singular coupling matrix or a negative
-      propagated variance raises here). These two estimators differ only in
-      the mean-noise outputs, the affine map or a coupling solve, and build
-      no sampler.
+      ``exact``, the noise energy (a negative propagated variance raises
+      here). These two estimators differ only in the mean-noise outputs,
+      the affine map or a coupling solve, and build no sampler.
     """
 
     def __init__(self, system, t, sigma, spec, estimator, m=_DEFAULT_M, seed=0, mda_settings=None):
@@ -144,6 +147,9 @@ class RobustEvaluator:
         if estimator == "mc" and m < 2:
             raise ValueError("mc estimator needs m >= 2")
         model = _noise_model(system.p_coupling, sigma)
+        # The gradients' slope. Building the affine map also refuses outputs
+        # that overflow over the unit box, before any coupling solve.
+        self._beta = system.linear_map[1]
         self.system = system
         self.t = t
         self.spec = spec
@@ -208,16 +214,17 @@ class RobustEvaluator:
         # same point, so the value at x does not depend on the points
         # evaluated before it. The direct method needs no start.
         y0 = None
+        center_converged = True
         if self.mda_settings.method != "direct":
             center = solve_mda(self.system, x, settings=self.mda_settings)
             self.n_discipline_evals += center.iterations
-            y0 = center.y
+            y0, center_converged = center.y, center.converged
         est = mc_estimate(self._coupled_outputs(x, self._samples, y0))
         self.n_failed_samples += est.n_failed
         f = float(est.mean[0])
         g = composed_value(est.mean[1:], est.std[1:], self.spec)
         # The mean of the kept rows' outputs.
-        return f, g, self.t - est.mean[1:], est.n_failed == 0
+        return f, g, self.t - est.mean[1:], center_converged and est.n_failed == 0
 
     def evaluate(self, x):
         """Objective and constraint statistics at x, cached per point with
@@ -242,11 +249,10 @@ class RobustEvaluator:
         this adds no evaluation at a point that was already evaluated.
         """
         self.evaluate(x)
-        beta = self.system.linear_map[1]
-        grad_f = 2.0 * (self._cache_y @ beta)
+        grad_f = 2.0 * (self._cache_y @ self._beta)
         d_shared = self.system.d_shared
         grad_f[:d_shared] += 2.0 * np.asarray(x, dtype=float)[:d_shared]
-        return grad_f, -beta
+        return grad_f, -self._beta
 
     def objective(self, x) -> float:
         return self.evaluate(x)[0]

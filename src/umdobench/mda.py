@@ -9,6 +9,15 @@ coupling blocks. Generated problems make the assembled coupling matrix
 strictly diagonally dominant, so the fixed-point iterations contract and the
 residual ``y - h(x, y)`` decays geometrically.
 
+The number of sweeps is derived, not set. A fixed-point solve sweeps until
+its residual meets the tolerance; one still unconverged at sweep 30 gets the
+further sweeps that its contraction bound, through ``q = ||B||_inf``, says it
+needs (:func:`_extra_sweeps`), and one that converges within 30 sweeps never
+computes that bound. On a system with ``q < 1``, which generation
+guarantees, only round-off against a tiny tolerance can leave a solve
+unconverged; one with ``q >= 1`` (only a hand-edited file holds one) stops at
+sweep 30.
+
 The residual of a Jacobi iterate is measured against its image under h,
 which is also the next iterate, so a Jacobi sweep takes one product with B.
 The first iterate is h at the start: from the zero start that is the
@@ -29,6 +38,7 @@ the fixed-point sweeps use numpy alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,29 +48,30 @@ __all__ = ["MDASettings", "MDAResult", "solve_mda"]
 
 _METHODS = ("jacobi", "gauss_seidel", "direct")
 
+# The sweeps every fixed-point solve may take before its budget is derived.
+_FLOOR = 30
+
 
 @dataclass(frozen=True)
 class MDASettings:
     """How to solve the coupling equations.
 
     ``tol`` bounds the Euclidean norm of the coupling residual
-    ``y - h(x, y)``, measured after every sweep; ``max_iter`` caps the
-    number of fixed-point sweeps. A Jacobi solve of s sweeps takes s products
-    with B from the zero start and s + 1 from a warm start, because each
-    sweep's next iterate is the h its residual needed.
+    ``y - h(x, y)``, measured after every sweep. The number of fixed-point
+    sweeps is derived from ``tol`` and the system (see the module
+    docstring). A Jacobi solve of s sweeps takes s products with B from the
+    zero start and s + 1 from a warm start, because each sweep's next iterate
+    is the h its residual needed.
     """
 
     method: str = "jacobi"
     tol: float = 1e-4
-    max_iter: int = 30
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -75,8 +86,9 @@ class MDAResult:
     True when every row converged and ``row_converged`` says which did.
     ``residual`` is the largest final Euclidean norm of ``y - h(x, y)`` over
     the rows and ``residual_history`` records, after every sweep, the largest
-    residual among the rows swept in it. Non-convergence is reported, not
-    raised.
+    residual among the rows swept in it. Non-convergence, which on a system
+    with ``||B||_inf < 1`` only round-off against a tiny ``tol`` can cause,
+    is reported, not raised.
     """
 
     y: np.ndarray
@@ -132,7 +144,8 @@ def solve_mda(
         Additive noise on the coupling equations: one realization or a block
         of m realizations, one per row (default 0).
     settings : MDASettings, optional
-        Method and stopping rule (default Jacobi, tol 1e-4, 30 sweeps).
+        Method and tolerance (default Jacobi, tol 1e-4). Every row of a
+        block gets the sweep budget its own solve would get.
     y0 : array_like, shape (p,), optional
         Initial iterate of every row for the fixed-point methods (default 0).
         Ignored by the direct method.
@@ -200,6 +213,29 @@ def _first_h(B, rhs, y0):
     return rhs + (0.0 if y0 is None else _matvec(B, y0))
 
 
+def _extra_sweeps(system, jacobi, tol, residual):
+    """Sweeps past sweep 30 that bring the residual's bound to ``tol``.
+
+    ``residual`` is the residual at sweep 30 of one solve (a float) or of
+    every row of a block (an array); the result is an int array of its
+    shape. Let ``q = ||B||_inf``. A Jacobi residual obeys ``r_k = B r_{k-1}``,
+    so ``||r_{30+n}||_2 <= sqrt(p) q^n ||r_30||_2``. A Gauss-Seidel sweep
+    shrinks the max norm of the error e by q as well, and its residual is
+    ``C e`` with ``||C||_inf <= 1 + q`` and ``||C^-1||_inf <= 1 / (1 - q)``,
+    which adds the factor ``(1 + q) / (1 - q)`` to that bound. The count is
+    the least n that brings the bound to ``tol``. A system with ``q >= 1``
+    and a residual that is not finite get none. One numpy expression serves
+    a single solve and a block, so each row gets the count of its own solve.
+    """
+    q = system.iteration_norm
+    if not q < 1.0:
+        return np.zeros(np.shape(residual), dtype=int)
+    bound = math.sqrt(system.p) * (1.0 if jacobi else (1.0 + q) / (1.0 - q))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n = np.ceil(np.log(tol / (bound * residual)) / np.log(q))
+    return np.where(np.isfinite(n), n, 0.0).astype(int)
+
+
 def _fixed_point_vector(system, rhs, y0, settings):
     """Jacobi or Gauss-Seidel sweeps of one (p,) iterate.
 
@@ -212,7 +248,8 @@ def _fixed_point_vector(system, rhs, y0, settings):
     else:
         y = np.zeros_like(rhs) if y0 is None else y0
     history = []
-    for sweep in range(1, settings.max_iter + 1):
+    budget = _FLOOR
+    for sweep in itertools.count(1):
         if jacobi:
             y = h
         else:
@@ -226,6 +263,10 @@ def _fixed_point_vector(system, rhs, y0, settings):
         history.append(residual)
         if residual <= settings.tol:
             break
+        if sweep == _FLOOR:
+            budget += int(_extra_sweeps(system, jacobi, settings.tol, residual))
+        if sweep == budget:
+            break
     return y, residual, sweep, history
 
 
@@ -234,10 +275,10 @@ def _fixed_point_block(system, rhs, y0, settings):
 
     Only rows that have not yet converged are swept: they are kept packed in
     ``active`` (iterates), ``active_rhs``, ``h`` (``rhs + B y`` of each
-    iterate y, which is also its next Jacobi iterate) and ``rows`` (their row
-    numbers), and a row is written back to Y when it converges or the budget
-    runs out. Returns ``(Y, final residual per row, sweeps per row,
-    history)``.
+    iterate y, which is also its next Jacobi iterate), ``rows`` (their row
+    numbers) and, from sweep 30, ``budget`` (their sweep budgets). A row is
+    written back to Y when it converges or its budget runs out. Returns
+    ``(Y, final residual per row, sweeps per row, history)``.
     """
     B = system.iteration_matrix
     jacobi = settings.method == "jacobi"
@@ -252,7 +293,7 @@ def _fixed_point_block(system, rhs, y0, settings):
     active, active_rhs = Y, rhs
     if jacobi:
         h = _first_h(B, rhs, y0)
-    for sweep in range(1, settings.max_iter + 1):
+    for sweep in itertools.count(1):
         if jacobi:
             active = h
         else:
@@ -260,20 +301,21 @@ def _fixed_point_block(system, rhs, y0, settings):
                 active[:, block] = active_rhs[:, block] + _matvec(B[block], active)
         h = active_rhs + _matvec(B, active)
         res = _row_norms(active - h)
-        worst = float(res.max())
-        history.append(worst)
-        # A row leaves when it converges or the budget runs out.
-        if sweep == settings.max_iter or worst <= settings.tol:
-            Y[rows] = active
-            residual[rows] = res
-            sweeps[rows] = sweep
-            break
+        history.append(float(res.max()))
         done = res <= settings.tol
+        if sweep >= _FLOOR:
+            if sweep == _FLOOR:
+                budget = _FLOOR + _extra_sweeps(system, jacobi, settings.tol, res)
+            done |= budget == sweep
         if done.any():
             finished = rows[done]
             Y[finished] = active[done]
             residual[finished] = res[done]
             sweeps[finished] = sweep
+            if done.all():
+                break
             keep = ~done
             rows, active, active_rhs, h = rows[keep], active[keep], active_rhs[keep], h[keep]
+            if sweep >= _FLOOR:
+                budget = budget[keep]
     return Y, residual, sweeps, history

@@ -300,6 +300,16 @@ class BlockSystem:
         return np.eye(self.p) - self.C
 
     @functools.cached_property
+    def iteration_norm(self) -> float:
+        """``||I - C||_inf``, the largest absolute row sum of the iteration matrix.
+
+        Generation bounds it by the configured ``coupling_strength``. Below 1
+        it bounds how much one Jacobi or Gauss-Seidel sweep shrinks the error
+        in the max norm.
+        """
+        return float(np.abs(self.iteration_matrix).sum(axis=1).max())
+
+    @functools.cached_property
     def linear_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact affine coupling solution ``y = alpha + beta @ x + P @ u``.
 
@@ -307,12 +317,26 @@ class BlockSystem:
         realization: ``alpha = P @ a`` is the zero-design solution,
         ``beta = -P @ D`` the Jacobian with respect to the design and ``P``
         (the inverse coupling matrix) the Jacobian with respect to the noise.
+
+        Raises
+        ------
+        NumericalError
+            If the outputs can overflow over the unit design box: the
+            objective and the reduced QP sum their squares, so the squares
+            of the bound ``|alpha| + |beta| 1`` must sum to a finite number.
+            The check runs before any coupling solve, with numpy's overflow
+            warnings silenced.
         """
         import scipy.linalg
 
         P = scipy.linalg.lu_solve(self.lu, np.eye(self.p), check_finite=False)
-        alpha = P @ self.a
-        beta = -P @ self.D
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = P @ self.a
+            beta = -P @ self.D
+            bound = np.abs(alpha) + np.abs(beta).sum(axis=1)
+            finite = np.isfinite(bound @ bound)
+        if not finite:
+            raise NumericalError("coupling outputs overflow over the unit design box")
         return alpha, beta, P
 
     def output_variance(self, sigma) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -39,4 +40,29 @@ def make_toy_problem(a=(1.0,), d_shared=((1.0,),), d_local=((1.0,),), t=0.0):
         D_local=(np.asarray(d_local, dtype=float),),
         C_blocks={},
         t=t,
+    )
+
+
+def non_contracting_copy(problem, k=10.0):
+    """``problem`` with its last discipline's outputs scaled by k.
+
+    With S diagonal, k on the last block, the coupling equations become
+    ``(S C S^-1) (S y) = S (a - D x)``: the iteration matrix keeps its
+    spectrum, so the sweeps converge at the original rate, but its row sums
+    in the last block grow by k. On the generated problems the tests use
+    this makes ``||I - C||_inf >= 1``, as only a hand-edited file can, so a
+    fixed-point solve that needs more than 30 sweeps stops unconverged at
+    sweep 30.
+    """
+    n = problem.config.n_disciplines
+    s = np.ones(n)
+    s[-1] = k
+    a = problem.a.copy()
+    a[-problem.config.p_coupling[-1]:] *= k
+    return dataclasses.replace(
+        problem,
+        a=a,
+        D_shared=tuple(s_i * block for s_i, block in zip(s, problem.D_shared)),
+        D_local=tuple(s_i * block for s_i, block in zip(s, problem.D_local)),
+        C_blocks={(i, j): block * s[i] / s[j] for (i, j), block in problem.C_blocks.items()},
     )

@@ -30,13 +30,14 @@ from umdobench.errors import InfeasibleReferenceError, NumericalError
 from umdobench.mda import MDASettings
 from umdobench.problem import BlockSystem, UncertaintyModel
 from umdobench.uq import StatisticSpec
+from conftest import non_contracting_copy
 
 FAST = OptimizerSettings(max_iter=40)
 DIRECT = MDASettings(method="direct")
 
 
-def small_report(**overrides):
-    problem = default_benchmark_problem(seed=70)
+def small_report(problem=None, **overrides):
+    problem = problem if problem is not None else default_benchmark_problem(seed=70)
     kwargs = dict(
         estimators=("exact", "taylor", "mc:10"),
         repetitions=2,
@@ -164,17 +165,22 @@ def test_process_pool_matches_serial_results():
     def untimed(runs):
         return [dataclasses.replace(r, wall_s=0.0) for r in runs]
 
-    # Three Jacobi sweeps cannot reach tol 1e-8, so under the second setting
-    # every mc repetition raises NumericalError inside its worker.
-    for mda_settings, n_runs in ((DIRECT, 3), (MDASettings(tol=1e-8, max_iter=3), 1)):
+    # On a copy with ||B||_inf >= 1 every coupling solve stops at the
+    # 30-sweep floor, short of tol 1e-14, so every mc repetition raises
+    # NumericalError inside its worker.
+    floor_bound = non_contracting_copy(default_benchmark_problem(seed=70))
+    for problem, mda_settings, n_runs in (
+        (None, DIRECT, 3),
+        (floor_bound, MDASettings(tol=1e-14), 1),
+    ):
         kwargs = dict(
             estimators=("exact", "mc:5"),
             repetitions=2,
             optimizer=OptimizerSettings(max_iter=25),
             mda_settings=mda_settings,
         )
-        serial = small_report(workers=1, **kwargs)
-        pooled = small_report(workers=2, **kwargs)
+        serial = small_report(problem, workers=1, **kwargs)
+        pooled = small_report(problem, workers=2, **kwargs)
         assert len(serial.runs) == n_runs
         assert untimed(pooled.runs) == untimed(serial.runs)
         assert pooled.failures == serial.failures

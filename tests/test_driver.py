@@ -5,6 +5,7 @@ import pytest
 
 from umdobench import (
     BlockSystem,
+    NumericalError,
     ProblemConfig,
     UncertaintyModel,
     UndefinedMetricError,
@@ -23,6 +24,7 @@ from umdobench.driver import (
 from umdobench.mda import MDASettings, solve_mda
 from umdobench.qp import QPSolution, reduce_deterministic, reduce_margin, solve_qp
 from umdobench.uq import GaussianSampler, StatisticSpec, exact_stats
+from conftest import non_contracting_copy
 
 
 def tuned_problem(seed=0, std=0.01):
@@ -457,7 +459,7 @@ class RunResultStub:
 def test_discipline_eval_accounting_with_iterative_mda():
     problem = tuned_problem(7)
     system = assemble(problem)
-    mda = MDASettings(method="jacobi", tol=1e-4, max_iter=30)
+    mda = MDASettings(method="jacobi", tol=1e-4)
     evaluator = RobustEvaluator(
         system, problem.t, problem.uncertainty, MARGIN, "mc", m=20, seed=0,
         mda_settings=mda,
@@ -476,23 +478,103 @@ def test_discipline_eval_accounting_with_iterative_mda():
     assert evaluator.n_failed_samples == 0
 
 
+def strength_problem(strength, seed):
+    config = ProblemConfig(2, 1, (2, 2), (3, 3), coupling_strength=strength, seed=seed)
+    problem = generate(config)
+    problem.uncertainty = UncertaintyModel.isotropic(config.p_coupling, 0.01)
+    tune_feasibility(problem, quantile_seed=seed + 1)
+    return problem
+
+
 @pytest.mark.parametrize("estimator", ["taylor", "mc"])
 def test_unconverged_coupling_solves_make_an_unconverged_run(estimator):
     # At coupling strength 0.9 a Jacobi solve on this instance needs about 57
-    # sweeps, so the default budget of 30 stops every Taylor solve and drops
-    # MC realizations. SLSQP still reports success on those values.
-    config = ProblemConfig(2, 1, (2, 2), (3, 3), coupling_strength=0.9, seed=70)
-    problem = generate(config)
-    problem.uncertainty = UncertaintyModel.isotropic(config.p_coupling, 0.01)
-    tune_feasibility(problem, quantile_seed=71)
-    system = assemble(problem)
-    for mda, converged in ((MDASettings(), False), (MDASettings(max_iter=200), True)):
+    # sweeps, which the derived budget grants. On a copy with
+    # ||B||_inf >= 1 the 30-sweep floor stops every Taylor solve and drops MC
+    # realizations, and SLSQP still reports success on those values.
+    problem = strength_problem(0.9, 70)
+    for target, converged in ((problem, True), (non_contracting_copy(problem), False)):
         evaluator = RobustEvaluator(
-            system, problem.t, problem.uncertainty, MARGIN, estimator, m=200, seed=1000,
-            mda_settings=mda,
+            assemble(target), target.t, target.uncertainty, MARGIN, estimator, m=200, seed=1000
         )
         run = optimize(evaluator)
         assert evaluator.point_converged is converged
         assert run.converged is converged
         if estimator == "mc":
             assert (evaluator.n_failed_samples == 0) is converged
+
+
+def test_unconverged_centre_solve_makes_the_point_unconverged():
+    # On this copy with ||B||_inf >= 1 the mean-noise solve stops at the
+    # 30-sweep floor, unconverged, yet every realization started from it
+    # converges, so no sample is dropped: the point still did not converge.
+    target = non_contracting_copy(strength_problem(0.8, 70))
+    system = assemble(target)
+    assert system.iteration_norm >= 1.0
+    evaluator = RobustEvaluator(
+        system, target.t, target.uncertainty, MARGIN, "mc", m=200, seed=1000
+    )
+    x = np.full(system.d, 0.5)
+    evaluator.evaluate(x)
+    center = solve_mda(system, x)
+    assert not center.converged and center.iterations == 30
+    assert evaluator.n_failed_samples == 0
+    assert evaluator.point_converged is False
+
+
+@pytest.mark.parametrize("strength", [0.5, 0.8, 0.9, 0.95])
+@pytest.mark.parametrize("seed", [60, 70, 71])
+@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
+def test_default_budget_converges_across_coupling_strengths(method, seed, strength):
+    # Generation bounds ||B||_inf by the coupling strength, and the derived
+    # budget lets every solve converge at the default tol, one realization
+    # (a vector) or all of an MC point's (a block) alike, so no sample is
+    # dropped. Convergence is checked on the residuals too, not only on the
+    # flags.
+    problem = strength_problem(strength, seed)
+    system = assemble(problem)
+    assert system.iteration_norm <= strength + 1e-12
+    settings = MDASettings(method)
+    U = GaussianSampler(problem.uncertainty).draw(200, 1000)
+
+    def residuals(system, x, Y, U):
+        B = system.iteration_matrix
+        return np.linalg.norm(Y - (system.a - system.D @ x + U + Y @ B.T), axis=-1)
+
+    for x in (np.zeros(system.d), np.full(system.d, 0.5), np.ones(system.d)):
+        one = solve_mda(system, x, settings=settings)
+        assert one.converged and residuals(system, x, one.y, 0.0) <= 1.01 * settings.tol
+        block = solve_mda(system, x, U, settings, y0=one.y)
+        assert block.converged and residuals(system, x, block.y, U).max() <= 1.01 * settings.tol
+    evaluator = RobustEvaluator(
+        system, problem.t, problem.uncertainty, MARGIN, "mc", m=200, seed=1000,
+        mda_settings=settings,
+    )
+    evaluator.evaluate(x)
+    assert evaluator.point_converged and evaluator.n_failed_samples == 0
+
+    # A run whose solves did not converge never reads as converged. On a
+    # copy with ||B||_inf >= 1 the 30-sweep floor stops the solves that need
+    # more, at high strength the mean-noise solve among them: the Taylor
+    # point is then unconverged, and an MC point drops and counts exactly
+    # the realizations whose own solve did not converge (raising when fewer
+    # than two are left).
+    floor_bound = assemble(non_contracting_copy(problem))
+    center = solve_mda(floor_bound, x, settings=settings)
+    rows = solve_mda(floor_bound, x, U, settings, y0=center.y)
+    unconverged = int((~rows.row_converged).sum())
+    for estimator in ("taylor", "mc"):
+        evaluator = RobustEvaluator(
+            floor_bound, problem.t, problem.uncertainty, MARGIN, estimator, m=200, seed=1000,
+            mda_settings=settings,
+        )
+        if estimator == "taylor":
+            evaluator.evaluate(x)
+            assert evaluator.point_converged is center.converged
+        elif unconverged > 198:
+            with pytest.raises(NumericalError, match="realizations converged"):
+                evaluator.evaluate(x)
+        else:
+            evaluator.evaluate(x)
+            assert evaluator.n_failed_samples == unconverged
+            assert evaluator.point_converged is (center.converged and unconverged == 0)

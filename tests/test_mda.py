@@ -1,12 +1,13 @@
 """Tests for the coupling-equation solvers."""
 
-import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from umdobench import BlockSystem, ProblemConfig, assemble, generate
 from umdobench.mda import MDASettings, solve_mda
+from conftest import non_contracting_copy
 from oracles import finite_difference_jacobian
 
 
@@ -37,8 +38,9 @@ def test_settings_validation():
         MDASettings(method="newton")
     with pytest.raises(ValueError):
         MDASettings(tol=0.0)
-    with pytest.raises(ValueError):
-        MDASettings(max_iter=0)
+    # The sweep budget is derived from the system, not set.
+    with pytest.raises(TypeError):
+        MDASettings(max_iter=30)
 
 
 def test_decoupled_problem_converges_in_one_iteration():
@@ -56,9 +58,7 @@ def test_hand_solved_coupled_pair():
     x = np.zeros(2)
     direct = solve_mda(system, x, settings=MDASettings(method="direct"))
     assert np.allclose(direct.y, [2.0, 2.0], atol=1e-14)
-    jacobi = solve_mda(
-        system, x, settings=MDASettings(method="jacobi", tol=1e-12, max_iter=200)
-    )
+    jacobi = solve_mda(system, x, settings=MDASettings(method="jacobi", tol=1e-12))
     assert jacobi.converged
     assert np.allclose(jacobi.y, [2.0, 2.0], atol=1e-11)
 
@@ -71,16 +71,15 @@ def test_fixed_point_methods_match_direct_solve():
         x, u = rng.random(system.d), 0.01 * rng.standard_normal(system.p)
         direct = solve_mda(system, x, u, MDASettings(method="direct"))
         for method in ("jacobi", "gauss_seidel"):
-            it = solve_mda(
-                system, x, u, MDASettings(method=method, tol=1e-10, max_iter=200)
-            )
+            it = solve_mda(system, x, u, MDASettings(method=method, tol=1e-10))
             assert it.converged
             assert np.linalg.norm(it.y - direct.y) <= 1e-8
 
 
 def test_jacobi_converges_within_default_budget():
-    # Default settings (tol 1e-4, 30 sweeps) must suffice on generated
-    # problems at the reference dimensions.
+    # At the default coupling strength 0.5 and tol 1e-4, generated problems
+    # at the reference dimensions converge before the 30-sweep floor, so
+    # their solves never compute the derived budget.
     for seed in range(20):
         config = ProblemConfig(2, 1, (2, 2), (3, 3), seed=seed)
         system = assemble(generate(config))
@@ -94,9 +93,7 @@ def test_residual_decays_geometrically():
     config = ProblemConfig(2, 1, (2, 2), (3, 3), seed=3)
     system = assemble(generate(config))
     x = np.full(system.d, 0.5)
-    result = solve_mda(
-        system, x, settings=MDASettings(method="jacobi", tol=1e-12, max_iter=100)
-    )
+    result = solve_mda(system, x, settings=MDASettings(method="jacobi", tol=1e-12))
     hist = result.residual_history
     for k in range(len(hist) - 5):
         assert hist[k + 5] < hist[k]
@@ -107,10 +104,8 @@ def test_gauss_seidel_not_slower_than_jacobi():
         config = ProblemConfig(3, 1, (1, 2, 1), (2, 3, 2), seed=seed)
         system = assemble(generate(config))
         x = np.random.default_rng(seed).random(system.d)
-        jac = solve_mda(system, x, settings=MDASettings(method="jacobi", tol=1e-8, max_iter=200))
-        gs = solve_mda(
-            system, x, settings=MDASettings(method="gauss_seidel", tol=1e-8, max_iter=200)
-        )
+        jac = solve_mda(system, x, settings=MDASettings(method="jacobi", tol=1e-8))
+        gs = solve_mda(system, x, settings=MDASettings(method="gauss_seidel", tol=1e-8))
         assert jac.converged and gs.converged
         assert gs.iterations <= jac.iterations
 
@@ -119,7 +114,7 @@ def test_warm_start_reaches_same_fixed_point():
     config = ProblemConfig(2, 1, (2, 2), (3, 3), seed=5)
     system = assemble(generate(config))
     x = np.full(system.d, 0.3)
-    settings = MDASettings(method="jacobi", tol=1e-6, max_iter=200)
+    settings = MDASettings(method="jacobi", tol=1e-6)
     cold = solve_mda(system, x, settings=settings)
     nearby = solve_mda(system, x + 0.01, settings=settings)
     warm = solve_mda(system, x, settings=settings, y0=nearby.y)
@@ -140,12 +135,64 @@ def test_converged_iterate_satisfies_coupling_bound():
 
 
 def test_non_convergence_is_reported_not_raised():
-    system = hand_system()
-    result = solve_mda(
-        system, np.zeros(2), settings=MDASettings(method="jacobi", tol=1e-15, max_iter=3)
+    # y1 = 1 + 2 y2, y2 = 1 + 0.2 y1: ||B||_inf = 2, so no budget is derived,
+    # although B's eigenvalues, +-sqrt(0.4), make Jacobi converge slowly.
+    system = BlockSystem(
+        C=np.array([[1.0, -2.0], [-0.2, 1.0]]),
+        D=np.zeros((2, 2)),
+        a=np.array([1.0, 1.0]),
+        p_coupling=(1, 1),
+        d_shared=1,
     )
-    assert not result.converged
-    assert result.iterations == 3
+    assert system.iteration_norm == 2.0
+    for method in ("jacobi", "gauss_seidel"):
+        result = solve_mda(system, np.zeros(2), settings=MDASettings(method, tol=1e-15))
+        assert not result.converged
+        assert result.iterations == 30
+
+
+def test_budget_past_the_floor_follows_the_contraction_bound():
+    # At strength 0.9 a solve needs more than 30 sweeps: 57 on this instance.
+    config = ProblemConfig(2, 1, (2, 2), (3, 3), coupling_strength=0.9, seed=70)
+    system = assemble(generate(config))
+    assert system.iteration_norm == pytest.approx(0.9)
+    x = np.full(system.d, 0.5)
+    assert solve_mda(system, x).iterations == 57
+    assert solve_mda(system, x, settings=MDASettings("gauss_seidel")).converged
+
+
+def test_unreachable_tol_stops_at_the_derived_budget(monkeypatch):
+    # A solve still unconverged at sweep 30 gets the sweeps that bring its
+    # contraction bound, sqrt(p) q^n r_30 for Jacobi and (1 + q) / (1 - q)
+    # times that for Gauss-Seidel, to tol. A solve whose residual round-off
+    # holds above tol uses all of them. Most solves instead reach an exact
+    # fixed point of the rounded sweep (residual 0), so here no residual may
+    # fall below 1e-12 and tol 1e-13 is out of reach. Each row of a block
+    # gets the budget of its own solve.
+    import umdobench.mda as mda
+
+    norms = mda._row_norms
+    monkeypatch.setattr(mda, "_row_norms", lambda R: np.maximum(norms(R), 1e-12))
+    budgets = set()
+    for seed in range(3):
+        config = ProblemConfig(3, 1, (2, 2, 2), (4, 5, 3), coupling_strength=0.9, seed=seed)
+        system = assemble(generate(config))
+        q, p = system.iteration_norm, system.p
+        rng = np.random.default_rng(seed)
+        x = rng.random(system.d)
+        U = 0.01 * rng.standard_normal((5, p))
+        for method, slack in (("jacobi", 1.0), ("gauss_seidel", (1 + q) / (1 - q))):
+            settings = MDASettings(method, tol=1e-13)
+            block = solve_mda(system, x, U, settings)
+            assert not block.row_converged.any()
+            for i, u in enumerate(U):
+                one = solve_mda(system, x, u, settings)
+                bound = math.sqrt(p) * slack * one.residual_history[29]
+                assert one.iterations == 30 + math.ceil(math.log(1e-13 / bound) / math.log(q))
+                assert block.y[i].tobytes() == one.y.tobytes()
+                assert block.row_iterations[i] == one.iterations
+                budgets.add(one.iterations)
+    assert len(budgets) >= 2
 
 
 def test_out_of_box_design_is_solved(small_config):
@@ -156,7 +203,7 @@ def test_out_of_box_design_is_solved(small_config):
     # point converges to the direct solution.
     system = assemble(generate(small_config))
     x = np.full(system.d, 2.0)
-    settings = MDASettings(method="jacobi", tol=1e-12, max_iter=200)
+    settings = MDASettings(method="jacobi", tol=1e-12)
     fixed_point = solve_mda(system, x, settings=settings)
     direct = solve_mda(system, x, settings=MDASettings(method="direct"))
     assert fixed_point.converged
@@ -229,24 +276,25 @@ def test_block_solve_matches_per_row_loop(seed, p_block, coupling_strength):
     config = ProblemConfig(
         3, 1, (2, 2, 2), (p_block,) * 3, coupling_strength=coupling_strength, seed=seed
     )
-    system = assemble(generate(config))
+    problem = generate(config)
+    system = assemble(problem)
     rng = np.random.default_rng(seed)
     x = rng.random(system.d)
     # Noise scales spread over seven decades, so rows warm-started from the
     # mean-noise solution need very different numbers of sweeps.
     m = 20
     U = 0.01 * rng.standard_normal((m, system.p)) * 10.0 ** rng.uniform(-6, 1, (m, 1))
-    center = solve_mda(system, x).y
 
-    for method in ("jacobi", "gauss_seidel"):
-        for y0 in (None, center):
-            generous = MDASettings(method=method, tol=1e-6, max_iter=300)
-            longest = max(solve_mda(system, x, u, generous, y0).iterations for u in U)
-            # One sweep short of the slowest row leaves at least that row unconverged.
-            tight = dataclasses.replace(generous, max_iter=longest - 1)
-            for settings in (generous, tight):
-                block = solve_mda(system, x, U, settings, y0=y0)
-                rows = [solve_mda(system, x, u, settings, y0) for u in U]
+    # A copy with ||B||_inf >= 1 stops every row that needs more than 30
+    # sweeps at that floor: at strength 0.9 every row from the zero start,
+    # while from the warm start the rows of the smallest noise converge.
+    for target in (system, assemble(non_contracting_copy(problem))):
+        center = solve_mda(target, x, settings=MDASettings(method="direct")).y
+        for method in ("jacobi", "gauss_seidel"):
+            settings = MDASettings(method=method, tol=1e-6)
+            for y0 in (None, center):
+                block = solve_mda(target, x, U, settings, y0=y0)
+                rows = [solve_mda(target, x, u, settings, y0) for u in U]
                 assert block.y.shape == (m, system.p)
                 for i, row in enumerate(rows):
                     assert block.y[i].tobytes() == row.y.tobytes()
@@ -254,9 +302,10 @@ def test_block_solve_matches_per_row_loop(seed, p_block, coupling_strength):
                     assert block.row_converged[i] == row.converged
                 assert block.iterations == sum(row.iterations for row in rows)
                 assert block.converged == all(row.converged for row in rows)
-            assert not block.converged
-            if y0 is not None:
-                assert block.row_converged.any()
+                if target is not system:
+                    assert block.row_iterations.max() <= 30
+                    if coupling_strength == 0.9:
+                        assert block.row_converged.any() == (y0 is not None)
 
     direct = MDASettings(method="direct")
     block = solve_mda(system, x, U, direct)
@@ -303,17 +352,27 @@ def test_vector_solve_matches_block_of_one(seed, coupling_strength):
     config = ProblemConfig(
         3, 1, (2, 2, 2), (4, 5, 3), coupling_strength=coupling_strength, seed=seed
     )
-    system = assemble(generate(config))
+    problem = generate(config)
+    system = assemble(problem)
     rng = np.random.default_rng(seed)
     x = rng.random(system.d)
     center = solve_mda(system, x).y
+    # Budgets run out in two ways: round-off keeps some Gauss-Seidel solves
+    # above tol 1e-20 until their derived budget is spent, and a copy with
+    # ||B||_inf >= 1 stops the slow solves at the 30-sweep floor.
+    floor_bound = assemble(non_contracting_copy(problem))
+    floor_stops = 0
     for u in (None, 0.01 * rng.standard_normal(system.p)):
         U = np.zeros((1, system.p)) if u is None else u[None, :]
         for method in ("jacobi", "gauss_seidel"):
-            for settings in (MDASettings(method), MDASettings(method, tol=1e-9, max_iter=4)):
+            for target, tol in ((system, 1e-4), (system, 1e-20), (floor_bound, 1e-9)):
+                settings = MDASettings(method, tol)
                 for y0 in (None, center):
-                    one = solve_mda(system, x, u, settings, y0)
-                    assert_same_solve(one, solve_mda(system, x, U, settings, y0))
+                    one = solve_mda(target, x, u, settings, y0)
+                    assert_same_solve(one, solve_mda(target, x, U, settings, y0))
+                    floor_stops += target is floor_bound and not one.converged
+    if coupling_strength > 0.2:
+        assert floor_stops > 0
 
 
 def test_zero_start_keeps_the_sign_of_zero():
@@ -374,7 +433,7 @@ def test_jacobi_sweep_evaluates_h_once(monkeypatch, m):
     monkeypatch.setattr(mda, "_matvec", counted)
     center = solve_mda(system, x).y
     ndim = 1 if m == 1 else 2
-    for settings in (MDASettings(tol=1e-8, max_iter=200), MDASettings(tol=1e-8, max_iter=5)):
+    for settings in (MDASettings(tol=1e-8), MDASettings(tol=1e-20)):
         for y0 in (None, center):
             products.clear()
             result = solve_mda(system, x, U if m > 1 else U[0], settings, y0)
@@ -389,7 +448,7 @@ def test_residual_is_y_minus_h_at_returned_iterate(method):
     system, x, U = noisy_block(seed=2, m=20)
     B = np.eye(system.p) - system.C
     center = solve_mda(system, x).y
-    for settings in (MDASettings(method, tol=1e-6, max_iter=200), MDASettings(method, max_iter=3)):
+    for settings in (MDASettings(method, tol=1e-6), MDASettings(method, tol=1e-20)):
         for y0 in (None, center):
             result = solve_mda(system, x, U, settings, y0)
             res = np.array([
