@@ -147,9 +147,9 @@ class RobustEvaluator:
         if estimator == "mc" and m < 2:
             raise ValueError("mc estimator needs m >= 2")
         model = _noise_model(system.p_coupling, sigma)
-        # The gradients' slope. Building the affine map also refuses outputs
-        # that overflow over the unit box, before any coupling solve.
-        self._beta = system.linear_map[1]
+        # Building the affine map, which the gradients read, refuses outputs
+        # that overflow over the unit box before any coupling solve.
+        system.linear_map
         self.system = system
         self.t = t
         self.spec = spec
@@ -249,10 +249,11 @@ class RobustEvaluator:
         this adds no evaluation at a point that was already evaluated.
         """
         self.evaluate(x)
-        grad_f = 2.0 * (self._cache_y @ self._beta)
+        beta = self.system.linear_map[1]
+        grad_f = 2.0 * (self._cache_y @ beta)
         d_shared = self.system.d_shared
         grad_f[:d_shared] += 2.0 * np.asarray(x, dtype=float)[:d_shared]
-        return grad_f, -self._beta
+        return grad_f, -beta
 
     def objective(self, x) -> float:
         return self.evaluate(x)[0]

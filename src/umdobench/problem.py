@@ -51,6 +51,7 @@ __all__ = [
     "problem_digest",
     "FORMAT_VERSION",
     "MAX_MATRIX_ELEMENTS",
+    "MAX_COUPLING_STRENGTH",
 ]
 
 FORMAT_VERSION = 1
@@ -60,6 +61,14 @@ FORMAT_VERSION = 1
 # tuning needs no n_samples x p buffer (it streams its sample in row blocks),
 # so this cap bounds the largest arrays a problem ever needs.
 MAX_MATRIX_ELEMENTS = 1 << 26
+
+# Largest coupling strength a configuration accepts. A fixed-point coupling
+# solve needs about log(r0 / tol) / (1 - q) sweeps when its iteration matrix
+# has spectral radius q, which generation makes up to the coupling strength,
+# so its run time grows as 1 / (1 - q). On the 2 x 3 family a warm-started
+# 200-row Jacobi block takes about 600 sweeps at 0.99 and 60 000 at 0.9999,
+# and one `mc:200` benchmark run up to 3 s at 0.99 but 57 s at 0.999.
+MAX_COUPLING_STRENGTH = 0.99
 
 # Bytes of one row block of design-point outputs in tune_feasibility: small
 # enough that a block stays in cache while it is offset and reduced.
@@ -81,10 +90,11 @@ class ProblemConfig:
     p_coupling : tuple of int
         Per-discipline coupling output dimensions, length N.
     coupling_strength : float
-        Upper bound, in (0, 1), on every row sum of the off-diagonal part of
-        the assembled coupling matrix. Controls the contraction rate of
-        fixed-point coupling solvers; values near 1 couple strongly but
-        converge slowly.
+        Upper bound, in (0, ``MAX_COUPLING_STRENGTH``] = (0, 0.99], on every
+        row sum of the off-diagonal part of the assembled coupling matrix.
+        Controls the contraction rate of fixed-point coupling solvers; values
+        near 1 couple strongly but converge slowly, their sweeps growing as
+        1 / (1 - coupling_strength).
     feasibility_level : float
         Target fraction, in (0, 1), of the unit design hypercube that should
         satisfy all constraints after threshold tuning.
@@ -113,8 +123,8 @@ class ProblemConfig:
                 raise ValueError(f"{name} must have length n_disciplines")
             if any(v < 1 for v in dims):
                 raise ValueError(f"all {name} entries must be >= 1")
-        if not 0.0 < self.coupling_strength < 1.0:
-            raise ValueError("coupling_strength must lie in (0, 1)")
+        if not 0.0 < self.coupling_strength <= MAX_COUPLING_STRENGTH:
+            raise ValueError(f"coupling_strength must lie in (0, {MAX_COUPLING_STRENGTH}]")
         if not 0.0 < self.feasibility_level < 1.0:
             raise ValueError("feasibility_level must lie in (0, 1)")
 

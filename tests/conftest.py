@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -66,3 +67,21 @@ def non_contracting_copy(problem, k=10.0):
         D_local=tuple(s_i * block for s_i, block in zip(s, problem.D_local)),
         C_blocks={(i, j): block * s[i] / s[j] for (i, j), block in problem.C_blocks.items()},
     )
+
+
+@contextlib.contextmanager
+def residual_floor(floor=1e-12):
+    """Within the block, no measured coupling residual falls below ``floor``.
+
+    A tolerance below round-off rarely makes a fixed-point solve fail: most
+    solves reach an exact fixed point of the rounded sweep, residual 0. With
+    the floor, a tolerance under it is out of reach, so every solve on a
+    system with ``||I - C||_inf < 1`` sweeps until its derived budget is
+    spent, and one on any other system stops at sweep 30.
+    """
+    import umdobench.mda as mda
+
+    norms = mda._row_norms
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mda, "_row_norms", lambda R: np.maximum(norms(R), floor))
+        yield

@@ -1,5 +1,6 @@
 """Tests for the coupling-equation solvers."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from umdobench import BlockSystem, ProblemConfig, assemble, generate
 from umdobench.mda import MDASettings, solve_mda
-from conftest import non_contracting_copy
+from conftest import non_contracting_copy, residual_floor
 from oracles import finite_difference_jacobian
 
 
@@ -161,18 +162,14 @@ def test_budget_past_the_floor_follows_the_contraction_bound():
     assert solve_mda(system, x, settings=MDASettings("gauss_seidel")).converged
 
 
-def test_unreachable_tol_stops_at_the_derived_budget(monkeypatch):
+@residual_floor()
+def test_unreachable_tol_stops_at_the_derived_budget():
     # A solve still unconverged at sweep 30 gets the sweeps that bring its
     # contraction bound, sqrt(p) q^n r_30 for Jacobi and (1 + q) / (1 - q)
     # times that for Gauss-Seidel, to tol. A solve whose residual round-off
-    # holds above tol uses all of them. Most solves instead reach an exact
-    # fixed point of the rounded sweep (residual 0), so here no residual may
-    # fall below 1e-12 and tol 1e-13 is out of reach. Each row of a block
-    # gets the budget of its own solve.
-    import umdobench.mda as mda
-
-    norms = mda._row_norms
-    monkeypatch.setattr(mda, "_row_norms", lambda R: np.maximum(norms(R), 1e-12))
+    # holds above tol uses all of them: under the residual floor of 1e-12,
+    # tol 1e-13 is out of reach. Each row of a block gets the budget of its
+    # own solve.
     budgets = set()
     for seed in range(3):
         config = ProblemConfig(3, 1, (2, 2, 2), (4, 5, 3), coupling_strength=0.9, seed=seed)
@@ -285,16 +282,25 @@ def test_block_solve_matches_per_row_loop(seed, p_block, coupling_strength):
     m = 20
     U = 0.01 * rng.standard_normal((m, system.p)) * 10.0 ** rng.uniform(-6, 1, (m, 1))
 
-    # A copy with ||B||_inf >= 1 stops every row that needs more than 30
-    # sweeps at that floor: at strength 0.9 every row from the zero start,
-    # while from the warm start the rows of the smallest noise converge.
-    for target in (system, assemble(non_contracting_copy(problem))):
+    # Rows stop unconverged in two ways. A copy with ||B||_inf >= 1 stops
+    # every row that needs more than 30 sweeps at that floor: at strength
+    # 0.9 every row from the zero start, while from the warm start the rows
+    # of the smallest noise converge. Under a residual floor above tol,
+    # every row spends its derived budget.
+    floor_bound = assemble(non_contracting_copy(problem))
+    cases = (
+        (system, 1e-6, contextlib.nullcontext),
+        (floor_bound, 1e-6, contextlib.nullcontext),
+        (system, 1e-13, residual_floor),
+    )
+    for target, tol, context in cases:
         center = solve_mda(target, x, settings=MDASettings(method="direct")).y
         for method in ("jacobi", "gauss_seidel"):
-            settings = MDASettings(method=method, tol=1e-6)
+            settings = MDASettings(method=method, tol=tol)
             for y0 in (None, center):
-                block = solve_mda(target, x, U, settings, y0=y0)
-                rows = [solve_mda(target, x, u, settings, y0) for u in U]
+                with context():
+                    block = solve_mda(target, x, U, settings, y0=y0)
+                    rows = [solve_mda(target, x, u, settings, y0) for u in U]
                 assert block.y.shape == (m, system.p)
                 for i, row in enumerate(rows):
                     assert block.y[i].tobytes() == row.y.tobytes()
@@ -302,10 +308,13 @@ def test_block_solve_matches_per_row_loop(seed, p_block, coupling_strength):
                     assert block.row_converged[i] == row.converged
                 assert block.iterations == sum(row.iterations for row in rows)
                 assert block.converged == all(row.converged for row in rows)
-                if target is not system:
+                if target is floor_bound:
                     assert block.row_iterations.max() <= 30
                     if coupling_strength == 0.9:
                         assert block.row_converged.any() == (y0 is not None)
+                if context is residual_floor:
+                    assert not block.row_converged.any()
+                    assert block.row_iterations.min() > 30
 
     direct = MDASettings(method="direct")
     block = solve_mda(system, x, U, direct)
@@ -357,19 +366,27 @@ def test_vector_solve_matches_block_of_one(seed, coupling_strength):
     rng = np.random.default_rng(seed)
     x = rng.random(system.d)
     center = solve_mda(system, x).y
-    # Budgets run out in two ways: round-off keeps some Gauss-Seidel solves
-    # above tol 1e-20 until their derived budget is spent, and a copy with
-    # ||B||_inf >= 1 stops the slow solves at the 30-sweep floor.
+    # Budgets run out in two ways: under a residual floor above tol every
+    # solve spends its derived budget, and a copy with ||B||_inf >= 1 stops
+    # the slow solves at the 30-sweep floor.
     floor_bound = assemble(non_contracting_copy(problem))
+    cases = (
+        (system, 1e-4, contextlib.nullcontext),
+        (system, 1e-13, residual_floor),
+        (floor_bound, 1e-9, contextlib.nullcontext),
+    )
     floor_stops = 0
     for u in (None, 0.01 * rng.standard_normal(system.p)):
         U = np.zeros((1, system.p)) if u is None else u[None, :]
         for method in ("jacobi", "gauss_seidel"):
-            for target, tol in ((system, 1e-4), (system, 1e-20), (floor_bound, 1e-9)):
+            for target, tol, context in cases:
                 settings = MDASettings(method, tol)
                 for y0 in (None, center):
-                    one = solve_mda(target, x, u, settings, y0)
-                    assert_same_solve(one, solve_mda(target, x, U, settings, y0))
+                    with context():
+                        one = solve_mda(target, x, u, settings, y0)
+                        assert_same_solve(one, solve_mda(target, x, U, settings, y0))
+                    if context is residual_floor:
+                        assert not one.converged and one.iterations > 30
                     floor_stops += target is floor_bound and not one.converged
     if coupling_strength > 0.2:
         assert floor_stops > 0
@@ -405,12 +422,15 @@ def test_zero_start_keeps_the_sign_of_zero():
 # --- one evaluation of h per Jacobi sweep, and the residual it measures ----------
 
 
-def noisy_block(seed, m):
-    config = ProblemConfig(3, 1, (2, 2, 2), (4, 4, 4), coupling_strength=0.7, seed=seed)
-    system = assemble(generate(config))
+def noisy_block(seed, m, coupling_strength=0.7):
+    """A problem, a design point and m noise rows whose scales spread over
+    seven decades; the point and the rows do not depend on the strength."""
+    config = ProblemConfig(
+        3, 1, (2, 2, 2), (4, 4, 4), coupling_strength=coupling_strength, seed=seed
+    )
     rng = np.random.default_rng(seed)
-    U = 0.01 * rng.standard_normal((m, system.p)) * 10.0 ** rng.uniform(-6, 1, (m, 1))
-    return system, rng.random(system.d), U
+    U = 0.01 * rng.standard_normal((m, config.p)) * 10.0 ** rng.uniform(-6, 1, (m, 1))
+    return generate(config), rng.random(config.d), U
 
 
 @pytest.mark.parametrize("m", [1, 20])
@@ -419,10 +439,20 @@ def test_jacobi_sweep_evaluates_h_once(monkeypatch, m):
     # the next iterate, and the first, h(0) = rhs, needs no product. A warm
     # start takes s + 1, the first being B @ y0 as one vector product, not
     # one per row of the block.
+    # The count holds for a solve that converges and for one that stops
+    # unconverged: at the 30-sweep floor of a strength-0.95 copy with
+    # ||B||_inf >= 1, or at its derived budget under a residual floor above
+    # tol.
     import umdobench.mda as mda
 
-    system, x, U = noisy_block(seed=1, m=m)
-    B = system.iteration_matrix
+    problem, x, U = noisy_block(seed=1, m=m)
+    system = assemble(problem)
+    strong = noisy_block(seed=1, m=m, coupling_strength=0.95)[0]
+    cases = (
+        (system, 1e-8, contextlib.nullcontext),
+        (assemble(non_contracting_copy(strong)), 1e-8, contextlib.nullcontext),
+        (system, 1e-13, residual_floor),
+    )
     products = []
     original = mda._matvec
 
@@ -431,12 +461,16 @@ def test_jacobi_sweep_evaluates_h_once(monkeypatch, m):
         return original(A, Y)
 
     monkeypatch.setattr(mda, "_matvec", counted)
-    center = solve_mda(system, x).y
     ndim = 1 if m == 1 else 2
-    for settings in (MDASettings(tol=1e-8), MDASettings(tol=1e-20)):
+    for target, tol, context in cases:
+        B = target.iteration_matrix
+        center = solve_mda(target, x).y
         for y0 in (None, center):
             products.clear()
-            result = solve_mda(system, x, U if m > 1 else U[0], settings, y0)
+            with context():
+                result = solve_mda(target, x, U if m > 1 else U[0], MDASettings(tol=tol), y0)
+            assert result.converged == (target is system and tol == 1e-8)
+            assert result.row_converged.any() == result.converged
             sweeps = int(result.row_iterations.max())
             assert sweeps == len(result.residual_history)
             first = [] if y0 is None else [(True, 1)]
@@ -445,12 +479,18 @@ def test_jacobi_sweep_evaluates_h_once(monkeypatch, m):
 
 @pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
 def test_residual_is_y_minus_h_at_returned_iterate(method):
-    system, x, U = noisy_block(seed=2, m=20)
-    B = np.eye(system.p) - system.C
-    center = solve_mda(system, x).y
-    for settings in (MDASettings(method, tol=1e-6), MDASettings(method, tol=1e-20)):
+    # Every row converges on the strength-0.7 problem; on a strength-0.95
+    # copy with ||B||_inf >= 1 every row stops unconverged at sweep 30.
+    problem, x, U = noisy_block(seed=2, m=20)
+    strong = noisy_block(seed=2, m=20, coupling_strength=0.95)[0]
+    settings = MDASettings(method, tol=1e-6)
+    for problem, converges in ((problem, True), (non_contracting_copy(strong), False)):
+        system = assemble(problem)
+        B = np.eye(system.p) - system.C
+        center = solve_mda(system, x).y
         for y0 in (None, center):
             result = solve_mda(system, x, U, settings, y0)
+            assert result.row_converged.all() == result.row_converged.any() == converges
             res = np.array([
                 np.linalg.norm(y - (system.a - system.D @ x + u + B @ y))
                 for y, u in zip(result.y, U)
@@ -460,5 +500,6 @@ def test_residual_is_y_minus_h_at_returned_iterate(method):
             last = result.row_iterations == result.row_iterations.max()
             assert result.residual_history[-1] == pytest.approx(res[last].max(), rel=1e-13)
             one = solve_mda(system, x, U[0], settings, y0)
+            assert one.converged == converges
             res_one = np.linalg.norm(one.y - (system.a - system.D @ x + U[0] + B @ one.y))
             assert one.residual == one.residual_history[-1] == pytest.approx(res_one, rel=1e-13)

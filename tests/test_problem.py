@@ -103,6 +103,10 @@ def test_config_validation():
         ProblemConfig(1, 1, (0,), (1,), seed=0)
     with pytest.raises(ValueError):
         ProblemConfig(1, 1, (1,), (1,), coupling_strength=1.0)
+    # Sweeps grow as 1 / (1 - coupling_strength); the family stops at 0.99.
+    assert ProblemConfig(1, 1, (1,), (1,), coupling_strength=0.99).coupling_strength == 0.99
+    with pytest.raises(ValueError):
+        ProblemConfig(1, 1, (1,), (1,), coupling_strength=0.9999999)
     with pytest.raises(ValueError):
         ProblemConfig(1, 1, (1,), (1,), feasibility_level=0.0)
 
@@ -624,6 +628,7 @@ def test_deserialize_rejects_bad_inputs(small_config):
         (set_index(1, 0), "C_blocks"),  # i == j
         (lambda doc: doc["C_blocks"].pop(), "C_blocks"),  # a block missing
         (set_config("coupling_strength", 1.5), "config"),
+        (set_config("coupling_strength", 0.995), "config"),
         (not_psd_sigma_block, "sigma_blocks"),
         (lambda doc: doc.update(comment="hand-edited"), "comment"),
     ]
