@@ -60,6 +60,17 @@ status=0
 umdo-bench solve-mdf big.json --estimator mc:20 2> big.err || status=$?
 test "$status" -eq 4
 test "$(wc -l < big.err)" -eq 1
+# Coupling blocks at 1e300 leave the map finite but make the sweeps
+# diverge: both runs fail, quietly, and the report is still written.
+python -c "import json; d = json.load(open('p.json')); d['C_blocks'] = [[i, j, [[v * 1e300 for v in row] for row in b]] for i, j, b in d['C_blocks']]; json.dump(d, open('diverge.json', 'w'))"
+umdo-bench benchmark diverge.json --estimators mc:10,taylor --repetitions 1 \
+    --out diverge_report 2> diverge.err
+test -s diverge_report.json && test -s diverge_report.csv
+test "$(grep -c '^failed:' diverge.err)" -eq 2
+if grep -q RuntimeWarning diverge.err; then cat diverge.err >&2; exit 1; fi
+# solve-mdf records the estimator label it ran.
+umdo-bench solve-mdf p.json --estimator mc:20 > mc20.json
+python -c "import json; assert json.load(open('mc20.json'))['estimator'] == 'mc:20'"
 # At coupling strength 0.95 a Jacobi solve needs well over 30 sweeps; the
 # derived sweep budget converges every one, so no run fails.
 umdo-bench generate --disciplines 2 --shared 1 --local 2,2 --coupling 3,3 \

@@ -45,7 +45,7 @@ print("exact margin constraints:", np.round(exact.constraints.value, 4))
 
 for m in (50, 200, 1000):
     evaluator = RobustEvaluator(
-        system, problem.t, problem.uncertainty, spec, "mc", m=m, seed=123,
+        system, problem.t, problem.uncertainty, spec, f"mc:{m}", seed=123,
         mda_settings=MDASettings(method="direct"),
     )
     f_hat = evaluator.objective(x)

@@ -26,13 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .driver import (
-    _DEFAULT_M,
-    _ESTIMATORS,
     _G_TOL,
     OptimizerSettings,
     RobustEvaluator,
     _noise_model,
     optimize,
+    parse_estimator,
     percent_errors,
 )
 from .errors import InfeasibleReferenceError, NumericalError
@@ -53,7 +52,6 @@ __all__ = [
     "BenchmarkRun",
     "EstimatorSummary",
     "default_benchmark_problem",
-    "parse_estimator",
     "report_to_csv",
     "report_to_json",
     "run_benchmark",
@@ -79,43 +77,19 @@ def default_benchmark_problem(seed: int = 70, sigma_std: float = 0.01):
     return problem
 
 
-def parse_estimator(label: str) -> tuple[str, int | None]:
-    """Split an estimator label into (kind, sample size).
-
-    ``"mc:200"`` gives ``("mc", 200)`` (bare ``"mc"`` defaults to 200); a
-    sample size is written in ASCII digits. ``"taylor"`` and ``"exact"`` take
-    no sample size.
-    """
-    kind, _, arg = label.strip().partition(":")
-    kind = kind.strip().lower()
-    if kind not in _ESTIMATORS:
-        raise ValueError(f"unknown estimator {label!r}; expected one of {_ESTIMATORS}")
-    if kind == "mc":
-        arg = arg.strip()
-        # int() alone would also take "２０", "2_0" and "+20".
-        if arg and not (arg.isascii() and arg.isdigit()):
-            raise ValueError(f"bad sample size in estimator label {label!r}")
-        m = int(arg) if arg else _DEFAULT_M
-        if m < 2:
-            raise ValueError("mc sample size must be >= 2")
-        return kind, m
-    if arg:
-        raise ValueError(f"estimator {kind!r} takes no sample size")
-    return kind, None
-
-
-def _parse_estimators(labels) -> list[tuple[str, str, int | None]]:
-    """``(label, kind, m)`` per label; raises ValueError when there are none
-    or when two labels name the same estimator (``"mc"`` and ``"mc:200"``)."""
-    parsed = [(label, *parse_estimator(label)) for label in labels]
-    if not parsed:
-        raise ValueError("estimators must not be empty")
+def _parse_estimators(labels) -> dict[str, str]:
+    """Each label's estimator kind, in order; raises ValueError when there
+    are none or when two labels name the same estimator (``"mc"`` and
+    ``"mc:200"``)."""
     seen = {}
-    for label, kind, m in parsed:
-        if (kind, m) in seen:
-            raise ValueError(f"estimators {seen[kind, m]!r} and {label!r} are the same")
-        seen[kind, m] = label
-    return parsed
+    for label in labels:
+        estimator = parse_estimator(label)
+        if estimator in seen:
+            raise ValueError(f"estimators {seen[estimator]!r} and {label!r} are the same")
+        seen[estimator] = label
+    if not seen:
+        raise ValueError("estimators must not be empty")
+    return {label: kind for (kind, _), label in seen.items()}
 
 
 def _plain(value):
@@ -206,13 +180,11 @@ class BenchmarkReport:
         return record
 
 
-def _execute_run(
-    system, t, sigma, spec, optimizer, mda_settings, reference, label, kind, m, rep, seed
-):
+def _execute_run(system, t, sigma, spec, optimizer, mda_settings, reference, label, rep, seed):
     """Run one estimator repetition; never raises (failures are reported)."""
     try:
         evaluator = RobustEvaluator(
-            system, t, sigma, spec, kind, m=m, seed=seed, mda_settings=mda_settings
+            system, t, sigma, spec, label, seed=seed, mda_settings=mda_settings
         )
         run = optimize(evaluator, optimizer)
         dx, df, dg = percent_errors(run, reference)
@@ -275,10 +247,9 @@ def run_benchmark(
         raise ValueError("repetitions must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    parsed = _parse_estimators(estimators)
     seeds = {
         label: [base_seed + rep for rep in range(repetitions if kind == "mc" else 1)]
-        for label, kind, _ in parsed
+        for label, kind in _parse_estimators(estimators).items()
     }
     spec = spec if spec is not None else StatisticSpec(constraint_stat="margin", kappa=2.0)
     optimizer = optimizer if optimizer is not None else OptimizerSettings()
@@ -302,11 +273,7 @@ def run_benchmark(
     execute = functools.partial(
         _execute_run, system, problem.t, model, spec, optimizer, mda_settings, reference
     )
-    tasks = [
-        (label, kind, m, rep, seed)
-        for label, kind, m in parsed
-        for rep, seed in enumerate(seeds[label])
-    ]
+    tasks = [(label, rep, seed) for label in seeds for rep, seed in enumerate(seeds[label])]
     n_workers = min(workers, len(tasks))
     if n_workers == 1:
         outcomes = [execute(*task) for task in tasks]
@@ -321,7 +288,7 @@ def run_benchmark(
     failures = [o for o in outcomes if not isinstance(o, BenchmarkRun)]
 
     summaries = []
-    for label, _, _ in parsed:
+    for label in seeds:
         rows = [r for r in runs if r.estimator == label]
         if rows:
             summaries.append(_summarize(label, rows))

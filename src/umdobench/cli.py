@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import _json_text, _record, parse_estimator, report_to_json, run_benchmark, write_report
+from .bench import _json_text, _record, report_to_json, run_benchmark, write_report
 from .driver import OptimizerSettings, RobustEvaluator, _noise_model, optimize
 from .errors import InfeasibleReferenceError, UmdoBenchError
 from .problem import (
@@ -152,7 +152,6 @@ def cmd_solve_ref(args) -> int:
 
 def cmd_solve_mdf(args) -> int:
     problem = _load_problem(args.problem)
-    kind, m = parse_estimator(args.estimator)
     spec = _statistic_spec(args.statistic, args.kappa)
     settings = OptimizerSettings(max_iter=args.max_iter)
     evaluator = RobustEvaluator(
@@ -160,8 +159,7 @@ def cmd_solve_mdf(args) -> int:
         problem.t,
         _sigma_model(problem, args.sigma),
         spec,
-        kind,
-        m=m,
+        args.estimator,
         seed=args.seed,
     )
     _write_json(_record(optimize(evaluator, settings)), args.out)

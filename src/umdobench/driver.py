@@ -22,12 +22,13 @@ serializes or fingerprints problems never loads scipy.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedMetricError
+from .errors import NumericalError, UndefinedMetricError
 from .mda import MDASettings, solve_mda
 # ``assemble`` and ``exact_stats`` are unused here; perfbench's SPAN_POINTS
 # and tests/test_tracer_points.py look them up under ``umdobench.driver``.
@@ -39,13 +40,39 @@ __all__ = [
     "RunResult",
     "RobustEvaluator",
     "optimize",
+    "parse_estimator",
     "percent_errors",
 ]
 
-# The estimator kinds, and the sample size of ``mc`` when a label or caller
-# gives none.
+# The estimator kinds, and the sample size of ``mc`` when a label gives none.
 _ESTIMATORS = ("mc", "taylor", "exact")
 _DEFAULT_M = 200
+
+
+def parse_estimator(label: str) -> tuple[str, int | None]:
+    """Split an estimator label into (kind, sample size).
+
+    ``"mc:200"`` gives ``("mc", 200)`` (bare ``"mc"`` defaults to 200); a
+    sample size is written in ASCII digits. ``"taylor"`` and ``"exact"`` take
+    no sample size.
+    """
+    kind, _, arg = label.strip().partition(":")
+    kind = kind.strip().lower()
+    if kind not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator {label!r}; expected one of {_ESTIMATORS}")
+    if kind == "mc":
+        arg = arg.strip()
+        # int() alone would also take "２０", "2_0" and "+20".
+        if arg and not (arg.isascii() and arg.isdigit()):
+            raise ValueError(f"bad sample size in estimator label {label!r}")
+        m = int(arg) if arg else _DEFAULT_M
+        if m < 2:
+            raise ValueError("mc sample size must be >= 2")
+        return kind, m
+    if arg:
+        raise ValueError(f"estimator {kind!r} takes no sample size")
+    return kind, None
+
 
 # SLSQP's stopping tolerance on the objective change. It can be this tight
 # because the gradients are analytic: runs on the benchmark problems stop
@@ -81,6 +108,7 @@ class RunResult:
     evaluation at ``x_opt`` converged (see
     :attr:`RobustEvaluator.point_converged`), so a run whose reported values
     rest on unconverged coupling solves never reads as converged.
+    ``estimator`` is the evaluator's label, ``"mc:50"`` say.
     """
 
     x_opt: np.ndarray
@@ -99,7 +127,10 @@ class RobustEvaluator:
 
     ``system`` is the problem's assembled ``BlockSystem`` and ``t`` its
     threshold. The system is only read, so evaluators and the reference QP
-    can share it and the maps cached on it.
+    can share it and the maps cached on it. ``estimator`` is a label:
+    ``"mc:M"`` (Monte-Carlo over M realizations; bare ``"mc"`` takes 200),
+    ``"taylor"`` or ``"exact"``. A label :func:`parse_estimator` refuses
+    raises its ValueError.
 
     The optimizer queries the objective, the constraints and their gradients
     separately at the same design point; a single-entry cache makes all of
@@ -107,11 +138,13 @@ class RobustEvaluator:
     discipline-evaluation counter (one unit = one sweep of all disciplines,
     i.e. one fixed-point iteration or one direct solve, counted per
     realization) and the dropped-realization counter. A Monte-Carlo design
-    point costs one block coupling solve over all ``m`` realizations; the
-    deterministic estimators ignore ``m``. ``point_converged`` says whether
-    the cached evaluation converged: for ``taylor`` its coupling solve, for
-    ``mc`` every realization's (none was dropped) and, under a fixed-point
-    method, the mean-noise solve they start from; ``exact`` solves none.
+    point costs one block coupling solve over all M realizations.
+    ``point_converged`` says whether the cached evaluation converged: for
+    ``taylor`` its coupling solve, for ``mc`` every realization's (none was
+    dropped) and, under a fixed-point method, the mean-noise solve they start
+    from; ``exact`` solves none. An evaluation whose objective is not finite,
+    as on a coupling iteration that diverges, raises
+    :class:`~umdobench.errors.NumericalError`.
 
     No solver state is carried between design points: every coupling solve
     starts from an iterate computed at the same point, so each evaluation is
@@ -131,21 +164,18 @@ class RobustEvaluator:
     * every estimator: the affine map's slope ``beta``, which the gradients
       read. A singular coupling matrix, or outputs that can overflow over
       the unit box, raise here, before any coupling solve.
-    * ``mc``: the (m, p) noise sample, one ``GaussianSampler.draw(m, seed)``
-      that every design point reuses; ``m`` and ``seed`` serve only this
-      draw. Under a fixed-point method every realization starts from the
-      mean-noise solution at the same point, one more coupling solve.
+    * ``mc``: the (M, p) noise sample, one ``GaussianSampler.draw(M, seed)``
+      that every design point reuses; ``seed`` serves only this draw. Under
+      a fixed-point method every realization starts from the mean-noise
+      solution at the same point, one more coupling solve.
     * ``exact`` and ``taylor``: the propagated constraint std and, for
       ``exact``, the noise energy (a negative propagated variance raises
       here). These two estimators differ only in the mean-noise outputs,
       the affine map or a coupling solve, and build no sampler.
     """
 
-    def __init__(self, system, t, sigma, spec, estimator, m=_DEFAULT_M, seed=0, mda_settings=None):
-        if estimator not in _ESTIMATORS:
-            raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-        if estimator == "mc" and m < 2:
-            raise ValueError("mc estimator needs m >= 2")
+    def __init__(self, system, t, sigma, spec, estimator, seed=0, mda_settings=None):
+        kind, m = parse_estimator(estimator)
         model = _noise_model(system.p_coupling, sigma)
         # Building the affine map, which the gradients read, refuses outputs
         # that overflow over the unit box before any coupling solve.
@@ -154,8 +184,9 @@ class RobustEvaluator:
         self.t = t
         self.spec = spec
         self.estimator = estimator
+        self._kind = kind
         self.mda_settings = mda_settings or MDASettings()
-        if estimator == "mc":
+        if kind == "mc":
             # Common random numbers: one sample serves every design point.
             self._samples = GaussianSampler(model).draw(m, seed)
         else:
@@ -164,7 +195,7 @@ class RobustEvaluator:
             # the mean noise and misses the noise energy by design.
             var = system.output_variance(model.sigma)
             self._std = np.sqrt(var)
-            self._noise_energy = float(var.sum()) if estimator == "exact" else 0.0
+            self._noise_energy = float(var.sum()) if kind == "exact" else 0.0
 
         self.n_discipline_evals = 0
         self.n_point_evals = 0
@@ -195,8 +226,8 @@ class RobustEvaluator:
     # -- statistic composition per estimator --------------------------------
 
     def _evaluate_point(self, x):
-        if self.estimator != "mc":
-            if self.estimator == "exact":
+        if self._kind != "mc":
+            if self._kind == "exact":
                 alpha, beta, _ = self.system.linear_map
                 y = alpha + beta @ x
                 self.n_discipline_evals += 1
@@ -233,6 +264,8 @@ class RobustEvaluator:
         key = x.tobytes()
         if key != self._cache_key:
             f, g, self._cache_y, self.point_converged = self._evaluate_point(x)
+            if not math.isfinite(f):
+                raise NumericalError("the objective is not finite: the coupled outputs diverged")
             self._cache_value = f, g
             self._cache_key = key
             self.n_point_evals += 1

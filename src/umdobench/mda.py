@@ -173,10 +173,12 @@ def solve_mda(
         residual = _row_norms(_matvec(system.C, y) - rhs)
         sweeps = 1 if u.ndim == 1 else np.ones(len(u), dtype=int)
         history = [float(np.max(residual))]
-    elif u.ndim == 1:
-        y, residual, sweeps, history = _fixed_point_vector(system, rhs, y0, settings)
     else:
-        y, residual, sweeps, history = _fixed_point_block(system, rhs, y0, settings)
+        fixed_point = _fixed_point_vector if u.ndim == 1 else _fixed_point_block
+        # Sweeps that diverge (q >= 1) overflow to inf and NaN; those rows
+        # stop unconverged, which reports the divergence.
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, residual, sweeps, history = fixed_point(system, rhs, y0, settings)
 
     if u.ndim == 1:
         converged = residual <= settings.tol

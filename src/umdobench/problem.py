@@ -535,16 +535,17 @@ def tune_feasibility(
 # ``_pieces`` walks the document once into literal text and arrays of at most
 # two dimensions, and cuts their values, in document order, into chunks of
 # ``_CHUNK`` values, so the working set stays at about 2 MB (one chunk's kernel
-# temporaries) at any problem size. ``serialize`` writes the pieces into one
-# buffer and ``problem_digest`` hashes them, one at a time. A chunk is
-# formatted by ``umdobench._floatfmt``, an exact numpy kernel that writes the
-# same text; a chunk of fewer than ``_MIN_KERNEL`` values (a whole small
-# problem, or the tail of a larger one) takes one ``%``-format instead, which
-# at that size costs less than numpy's per-call overhead, unless it holds a
-# -0.0. Both sizes come from timing the two paths on uniform values: the
-# kernel's cost per value is lowest from about 4 096 to 8 192 values per call
-# and rises for larger chunks, and it undercuts the ``%``-format from about 250
-# values up (100 µs each at 250 values, 200 against 290 µs at 400).
+# temporaries) at any problem size. ``_emit`` writes the pieces into one buffer
+# for ``serialize`` and ``export_qp``, and ``problem_digest`` hashes them, one
+# at a time. A chunk is formatted by ``umdobench._floatfmt``, an exact numpy
+# kernel that writes the same text; a chunk of fewer than ``_MIN_KERNEL``
+# values (a whole small problem, or the tail of a larger one) takes one
+# ``%``-format instead, which at that size costs less than numpy's per-call
+# overhead, unless it holds a -0.0. Both sizes come from timing the two paths
+# on uniform values: the kernel's cost per value is lowest from about 4 096 to
+# 8 192 values per call and rises for larger chunks, and it undercuts the
+# ``%``-format from about 250 values up (100 µs each at 250 values, 200
+# against 290 µs at 400).
 # ``_floatfmt`` is imported when a chunk first needs it, so a process that
 # writes only small files never compiles it.
 
@@ -659,9 +660,14 @@ def _pieces(obj):
     yield "".join(literal).encode("ascii")
 
 
-def _emit(obj) -> str:
-    """Canonical JSON text of ``obj``; arrays are nested lists of floats."""
-    return b"".join(_pieces(obj)).decode("ascii")
+def _emit(obj) -> bytes:
+    """Canonical JSON text of ``obj`` as ASCII bytes; arrays are nested lists
+    of floats. Each piece is written into one buffer as it is formatted, so
+    the pieces are never held all at once beside the joined text."""
+    buffer = io.BytesIO()
+    for piece in _pieces(obj):
+        buffer.write(piece)
+    return buffer.getvalue()
 
 
 # The top-level keys that _document writes; deserialize rejects any other.
@@ -686,15 +692,8 @@ def _document(problem: ScalableProblem) -> dict:
 
 
 def serialize(problem: ScalableProblem) -> bytes:
-    """Render a problem as canonical JSON bytes (17-significant-digit floats).
-
-    Each piece is written into one buffer as it is formatted, so the pieces
-    are never held all at once beside the joined file.
-    """
-    buffer = io.BytesIO()
-    for piece in _pieces(_document(problem)):
-        buffer.write(piece)
-    return buffer.getvalue()
+    """Render a problem as canonical JSON bytes (17-significant-digit floats)."""
+    return _emit(_document(problem))
 
 
 def _require(mapping, key, path):

@@ -126,15 +126,7 @@ def reduce_deterministic(system, t: float) -> QPData:
     squares of the shared design variables and the coupling outputs, and row
     j of ``A x - b`` equals ``t - y_j(x)``.
     """
-    alpha, beta, _ = system.linear_map
-    Q = 2.0 * (beta.T @ beta)
-    shared = np.arange(system.d_shared)
-    Q[shared, shared] += 2.0
-    c = 2.0 * beta.T @ alpha
-    d0 = float(alpha @ alpha)
-    A = -beta
-    b = alpha - t
-    return QPData(Q=Q, c=c, d0=d0, A=A, b=b)
+    return _reduce(system, t, 0.0, 0.0)
 
 
 def reduce_margin(system, t: float, sigma, kappa: float) -> QPData:
@@ -148,15 +140,20 @@ def reduce_margin(system, t: float, sigma, kappa: float) -> QPData:
     """
     if not np.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa!r}")
-    base = reduce_deterministic(system, t)
     var = system.output_variance(sigma)
-    return QPData(
-        Q=base.Q,
-        c=base.c,
-        d0=base.d0 + float(var.sum()),
-        A=base.A,
-        b=base.b - kappa * np.sqrt(var),
-    )
+    return _reduce(system, t, kappa * np.sqrt(var), float(var.sum()))
+
+
+def _reduce(system, t, shift, energy) -> QPData:
+    """The reduced QP with ``b = alpha - t - shift`` and ``d0 = alpha'alpha
+    + energy``; zero shift and energy give the deterministic reduction."""
+    alpha, beta, _ = system.linear_map
+    Q = 2.0 * (beta.T @ beta)
+    shared = np.arange(system.d_shared)
+    Q[shared, shared] += 2.0
+    c = 2.0 * beta.T @ alpha
+    d0 = float(alpha @ alpha) + energy
+    return QPData(Q=Q, c=c, d0=d0, A=-beta, b=alpha - t - shift)
 
 
 def reduce_probability(system, t: float, epsilon: float, sigma) -> QPData:
@@ -309,4 +306,4 @@ def export_qp(qp: QPData) -> bytes:
     """Render the QP as canonical JSON bytes for external cross-checks; the
     unit box follows ``b`` as ``lower`` and ``upper``."""
     box = {"lower": np.zeros(qp.dim), "upper": np.ones(qp.dim)}
-    return _emit({**asdict(qp), **box}).encode("ascii")
+    return _emit({**asdict(qp), **box})

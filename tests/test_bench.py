@@ -19,13 +19,12 @@ import umdobench.qp as qp_mod
 from umdobench.bench import (
     CSV_COLUMNS,
     default_benchmark_problem,
-    parse_estimator,
     report_to_csv,
     report_to_json,
     run_benchmark,
     write_report,
 )
-from umdobench.driver import OptimizerSettings
+from umdobench.driver import OptimizerSettings, parse_estimator
 from umdobench.errors import InfeasibleReferenceError, NumericalError
 from umdobench.mda import MDASettings
 from umdobench.problem import BlockSystem, UncertaintyModel

@@ -472,6 +472,46 @@ def test_overflowing_values_exit_4_without_non_finite_output(
     assert not qp_out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_diverging_coupling_sweeps_fail_without_warnings(problem_path, tmp_path, capsys):
+    # With every coupling block scaled by 1e300 the affine map is finite
+    # (P is tiny), but ||I - C||_inf is near 1e300: the fixed-point sweeps
+    # overflow, silently, and stop unconverged at sweep 30. An evaluation on
+    # them raises, so solve-mdf exits 4 with one line, and the benchmark
+    # records both runs as failures and writes its report.
+    doc = json.loads(problem_path.read_bytes())
+    doc["C_blocks"] = [[i, j, _map_numbers(b, lambda v: v * 1e300)] for i, j, b in doc["C_blocks"]]
+    path = tmp_path / "C_blocks_1e300.json"
+    path.write_text(json.dumps(doc))
+    for label, message in (
+        ("taylor", "the objective is not finite: the coupled outputs diverged"),
+        ("mc:10", "only 0 of 10 realizations converged; cannot estimate"),
+    ):
+        assert main(["solve-mdf", str(path), "--estimator", label]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    base = tmp_path / "report"
+    argv = ["benchmark", str(path), "--estimators", "mc:10,taylor", "--repetitions", "1"]
+    assert main([*argv, "--out", str(base)]) == 0
+    assert capsys.readouterr().err == (
+        "failed: mc:10 rep 0: NumericalError: only 0 of 10 realizations converged; "
+        "cannot estimate\n"
+        "failed: taylor rep 0: NumericalError: the objective is not finite: "
+        "the coupled outputs diverged\n"
+    )
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["runs"] == [] and report["estimators"] == []
+    assert [f["estimator"] for f in report["failures"]] == ["mc:10", "taylor"]
+
+
+def test_solve_mdf_records_the_label_it_ran(problem_path, capsys):
+    argv = ["solve-mdf", str(problem_path), "--estimator", "mc:20", "--max-iter", "3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["estimator"] == "mc:20"
+
+
 # --- seeded mutations of a valid file meet a documented exit code ---------------
 
 _MUTATED_FIELDS = ("a", "D_shared", "D_local", "C_blocks", "t", "sigma_blocks")

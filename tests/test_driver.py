@@ -1,5 +1,7 @@
 """Tests for the statistic-wrapped optimization driver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from umdobench.driver import (
     OptimizerSettings,
     RobustEvaluator,
     optimize,
+    parse_estimator,
     percent_errors,
 )
 from umdobench.mda import MDASettings, solve_mda
@@ -37,6 +40,11 @@ def tuned_problem(seed=0, std=0.01):
 
 MARGIN = StatisticSpec(constraint_stat="margin", kappa=2.0)
 
+# Ids read kind-M; the deterministic kinds, which draw no sample, show the
+# default M of 200.
+LABELS = ["exact", "taylor", "mc:50"]
+LABEL_IDS = ["exact-200", "taylor-200", "mc-50"]
+
 
 def test_settings_validation():
     with pytest.raises(ValueError):
@@ -46,10 +54,12 @@ def test_settings_validation():
 def test_evaluator_argument_validation():
     problem = tuned_problem()
     system, t = assemble(problem), problem.t
-    with pytest.raises(ValueError):
-        RobustEvaluator(system, t, problem.uncertainty, MARGIN, "simplex")
-    with pytest.raises(ValueError):
-        RobustEvaluator(system, t, problem.uncertainty, MARGIN, "mc", m=1)
+    # A label parse_estimator refuses raises its ValueError, message and all.
+    for bad in ("simplex", "newton", "bogus", "mc:1", "mc:abc", "mc:２０", "mc:2_0", "taylor:5"):
+        with pytest.raises(ValueError) as parsed:
+            parse_estimator(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(parsed.value))}$"):
+            RobustEvaluator(system, t, problem.uncertainty, MARGIN, bad)
     # Probability-constrained runs are reference-only: no spec carries them.
     with pytest.raises(ValueError):
         StatisticSpec(constraint_stat="probability")
@@ -161,7 +171,7 @@ def test_only_mc_evaluators_sample(monkeypatch):
         assert not built
 
     evaluator = RobustEvaluator(
-        system, t, problem.uncertainty, MARGIN, "mc", m=50, seed=4,
+        system, t, problem.uncertainty, MARGIN, "mc:50", seed=4,
         mda_settings=MDASettings(method="direct"),
     )
     assert draws == [(50, 4)]
@@ -196,8 +206,8 @@ def test_exact_evaluator_is_bitwise_exact_stats():
                 assert np.array_equal(g, stats.constraints.value)
 
 
-@pytest.mark.parametrize("estimator,m", [("exact", 200), ("taylor", 200), ("mc", 50)])
-def test_expectation_is_the_margin_at_kappa_zero(estimator, m):
+@pytest.mark.parametrize("estimator", LABELS, ids=LABEL_IDS)
+def test_expectation_is_the_margin_at_kappa_zero(estimator):
     problem = tuned_problem(7)
     system = assemble(problem)
     specs = (
@@ -205,7 +215,7 @@ def test_expectation_is_the_margin_at_kappa_zero(estimator, m):
         StatisticSpec(constraint_stat="margin", kappa=0.0),
     )
     expectation, margin = (
-        RobustEvaluator(system, problem.t, problem.uncertainty, spec, estimator, m=m, seed=3)
+        RobustEvaluator(system, problem.t, problem.uncertainty, spec, estimator, seed=3)
         for spec in specs
     )
     rng = np.random.default_rng(7)
@@ -221,16 +231,15 @@ DIRECT = MDASettings(method="direct")
 
 
 @pytest.mark.parametrize("spec", [MARGIN, StatisticSpec(constraint_stat="expectation")])
-@pytest.mark.parametrize("estimator,m", [("exact", 200), ("taylor", 200), ("mc", 50)])
-def test_gradient_matches_central_differences(estimator, m, spec):
+@pytest.mark.parametrize("estimator", LABELS, ids=LABEL_IDS)
+def test_gradient_matches_central_differences(estimator, spec):
     # With a direct coupling solve every statistic is exactly quadratic
     # (objective) or affine (constraints) in x, so central differences are
     # exact up to rounding.
     problem = tuned_problem(8)
     system = assemble(problem)
     evaluator = RobustEvaluator(
-        system, problem.t, problem.uncertainty, spec, estimator, m=m, seed=9,
-        mda_settings=DIRECT,
+        system, problem.t, problem.uncertainty, spec, estimator, seed=9, mda_settings=DIRECT
     )
     rng = np.random.default_rng(8)
     h = 1e-4
@@ -251,11 +260,11 @@ def test_gradient_matches_central_differences(estimator, m, spec):
         assert np.linalg.norm(jac_g - fd_g) <= 1e-6 * np.linalg.norm(fd_g)
 
 
-@pytest.mark.parametrize("estimator", ["exact", "taylor", "mc"])
+@pytest.mark.parametrize("estimator", ["exact", "taylor", pytest.param("mc:20", id="mc")])
 def test_gradient_reuses_the_cached_evaluation(estimator):
     problem = tuned_problem(9)
     evaluator = RobustEvaluator(
-        assemble(problem), problem.t, problem.uncertainty, MARGIN, estimator, m=20, seed=1
+        assemble(problem), problem.t, problem.uncertainty, MARGIN, estimator, seed=1
     )
     x = np.full(evaluator.system.d, 0.4)
     evaluator.evaluate(x)
@@ -273,7 +282,7 @@ def test_mc_functions_near_exact_at_midpoint():
     x = np.full(system.d, 0.5)
     exact = exact_stats(system, problem.t, sigma, x, MARGIN)
     m = 200
-    evaluator = RobustEvaluator(system, problem.t, problem.uncertainty, MARGIN, "mc", m=m, seed=7)
+    evaluator = RobustEvaluator(system, problem.t, problem.uncertainty, MARGIN, f"mc:{m}", seed=7)
     se_mean = 3.0 * exact.constraints.std / np.sqrt(m)
     # The margin adds kappa times the estimated std, whose own error is
     # about std/sqrt(2m); widen the band accordingly.
@@ -286,7 +295,7 @@ def test_mc_functions_near_exact_at_midpoint():
 def test_shared_cache_counts_one_evaluation_per_point():
     problem = tuned_problem(4)
     evaluator = RobustEvaluator(
-        assemble(problem), problem.t, problem.uncertainty, MARGIN, "mc", m=50, seed=0,
+        assemble(problem), problem.t, problem.uncertainty, MARGIN, "mc:50", seed=0,
         mda_settings=MDASettings(method="direct"),
     )
     x = np.full(evaluator.system.d, 0.5)
@@ -304,7 +313,7 @@ def test_mc_runs_are_deterministic_given_seed():
     results = []
     for _ in range(2):
         evaluator = RobustEvaluator(
-            system, problem.t, problem.uncertainty, MARGIN, "mc", m=100, seed=11
+            system, problem.t, problem.uncertainty, MARGIN, "mc:100", seed=11
         )
         results.append(optimize(evaluator, OptimizerSettings()))
     a, b = results
@@ -314,7 +323,7 @@ def test_mc_runs_are_deterministic_given_seed():
     assert a.n_optimizer_iters == b.n_optimizer_iters
 
 
-@pytest.mark.parametrize("estimator", ["taylor", "mc"])
+@pytest.mark.parametrize("estimator", ["taylor", pytest.param("mc:20", id="mc")])
 def test_evaluation_does_not_depend_on_earlier_points(estimator):
     # With the default (warm-started Jacobi) coupling solver, the statistics
     # at a point must not depend on which points were evaluated before it;
@@ -325,9 +334,7 @@ def test_evaluation_does_not_depend_on_earlier_points(estimator):
     x_b = np.full(system.d, 0.8)
 
     def evaluator():
-        return RobustEvaluator(
-            system, problem.t, problem.uncertainty, MARGIN, estimator, m=20, seed=3
-        )
+        return RobustEvaluator(system, problem.t, problem.uncertainty, MARGIN, estimator, seed=3)
 
     f_fresh, g_fresh = evaluator().evaluate(x_b)
     after_a = evaluator()
@@ -461,8 +468,7 @@ def test_discipline_eval_accounting_with_iterative_mda():
     system = assemble(problem)
     mda = MDASettings(method="jacobi", tol=1e-4)
     evaluator = RobustEvaluator(
-        system, problem.t, problem.uncertainty, MARGIN, "mc", m=20, seed=0,
-        mda_settings=mda,
+        system, problem.t, problem.uncertainty, MARGIN, "mc:20", seed=0, mda_settings=mda
     )
     x = np.full(system.d, 0.5)
     evaluator.objective(x)
@@ -486,7 +492,7 @@ def strength_problem(strength, seed):
     return problem
 
 
-@pytest.mark.parametrize("estimator", ["taylor", "mc"])
+@pytest.mark.parametrize("estimator", ["taylor", pytest.param("mc:200", id="mc")])
 def test_unconverged_coupling_solves_make_an_unconverged_run(estimator):
     # At coupling strength 0.9 a Jacobi solve on this instance needs about 57
     # sweeps, which the derived budget grants. On a copy with
@@ -495,12 +501,12 @@ def test_unconverged_coupling_solves_make_an_unconverged_run(estimator):
     problem = strength_problem(0.9, 70)
     for target, converged in ((problem, True), (non_contracting_copy(problem), False)):
         evaluator = RobustEvaluator(
-            assemble(target), target.t, target.uncertainty, MARGIN, estimator, m=200, seed=1000
+            assemble(target), target.t, target.uncertainty, MARGIN, estimator, seed=1000
         )
         run = optimize(evaluator)
         assert evaluator.point_converged is converged
         assert run.converged is converged
-        if estimator == "mc":
+        if estimator == "mc:200":
             assert (evaluator.n_failed_samples == 0) is converged
 
 
@@ -512,7 +518,7 @@ def test_unconverged_centre_solve_makes_the_point_unconverged():
     system = assemble(target)
     assert system.iteration_norm >= 1.0
     evaluator = RobustEvaluator(
-        system, target.t, target.uncertainty, MARGIN, "mc", m=200, seed=1000
+        system, target.t, target.uncertainty, MARGIN, "mc:200", seed=1000
     )
     x = np.full(system.d, 0.5)
     evaluator.evaluate(x)
@@ -547,7 +553,7 @@ def test_default_budget_converges_across_coupling_strengths(method, seed, streng
         block = solve_mda(system, x, U, settings, y0=one.y)
         assert block.converged and residuals(system, x, block.y, U).max() <= 1.01 * settings.tol
     evaluator = RobustEvaluator(
-        system, problem.t, problem.uncertainty, MARGIN, "mc", m=200, seed=1000,
+        system, problem.t, problem.uncertainty, MARGIN, "mc:200", seed=1000,
         mda_settings=settings,
     )
     evaluator.evaluate(x)
@@ -563,9 +569,9 @@ def test_default_budget_converges_across_coupling_strengths(method, seed, streng
     center = solve_mda(floor_bound, x, settings=settings)
     rows = solve_mda(floor_bound, x, U, settings, y0=center.y)
     unconverged = int((~rows.row_converged).sum())
-    for estimator in ("taylor", "mc"):
+    for estimator in ("taylor", "mc:200"):
         evaluator = RobustEvaluator(
-            floor_bound, problem.t, problem.uncertainty, MARGIN, estimator, m=200, seed=1000,
+            floor_bound, problem.t, problem.uncertainty, MARGIN, estimator, seed=1000,
             mda_settings=settings,
         )
         if estimator == "taylor":

@@ -341,13 +341,13 @@ def test_array_format_matches_per_element_format():
     shapes = [(values.size,), (values.size, 1), (12, 41), (41, 12), (0, 3), (0,)]
     for shape in shapes:
         arr = values[: int(np.prod(shape))].reshape(shape)
-        text = _emit(arr)
+        text = _emit(arr).decode("ascii")
         assert text == _per_element(arr), shape
         if arr.size:
             restored = np.array(json.loads(text))
             assert np.array_equal(restored, arr)
             assert np.array_equal(np.signbit(restored), np.signbit(arr))
-    assert _emit(special).startswith("[-0.0, 0, 4.9406564584124654e-324, ")
+    assert _emit(special).decode("ascii").startswith("[-0.0, 0, 4.9406564584124654e-324, ")
 
 
 def _kernel_inputs():
@@ -401,7 +401,7 @@ def test_array_kernel_matches_per_element_format(size):
     # kernel; the tail holds no -0.0, so its chunks below MIN_KERNEL values
     # take the %-format.
     for part in (values[:size], values[-size:]):
-        _assert_same_text(_emit(part), _per_element(part))
+        _assert_same_text(_emit(part).decode("ascii"), _per_element(part))
         # The same values cut into arrays of the shapes serialize writes, so
         # that full chunks and the %-format tail cross arrays.
         r = size // 7
@@ -413,12 +413,12 @@ def test_array_kernel_matches_per_element_format(size):
             np.zeros((0, 3)),
             part[cut:],
         ]
-        _assert_same_text(_emit(doc), _document_text(doc))
+        _assert_same_text(_emit(doc).decode("ascii"), _document_text(doc))
 
 
 def test_array_kernel_covers_every_exponent_and_the_fallback():
     values = _kernel_inputs()
-    text = _emit(values)
+    text = _emit(values).decode("ascii")
     _assert_same_text(text, _per_element(values))
     assert text.startswith("[0, -0.0, ")
     for token in ("e-05", "e-06", "e-07", "e+17", "e-308", "e-324", "e+308"):

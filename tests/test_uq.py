@@ -167,7 +167,7 @@ def test_mc_failure_accounting_matches_per_row_solves():
     settings = MDASettings(method="jacobi", tol=1e-10)
     system, t = assemble(non_contracting_copy(problem)), problem.t
     evaluator = RobustEvaluator(
-        system, t, problem.uncertainty, EXPECTATION, "mc", m=200, seed=3, mda_settings=settings
+        system, t, problem.uncertainty, EXPECTATION, "mc:200", seed=3, mda_settings=settings
     )
     x = np.full(system.d, 0.5)
     f, g = evaluator.evaluate(x)
@@ -189,7 +189,7 @@ def test_mc_failure_accounting_matches_per_row_solves():
     assert np.array_equal(g, mean[1:])
 
     starved = RobustEvaluator(
-        system, t, problem.uncertainty, EXPECTATION, "mc", m=200, seed=3,
+        system, t, problem.uncertainty, EXPECTATION, "mc:200", seed=3,
         mda_settings=MDASettings(method="jacobi", tol=1e-14),
     )
     with pytest.raises(NumericalError):
@@ -222,7 +222,7 @@ def test_mc_margin_composition():
 
     est = mc_estimate(t - solve_mda(system, x, sampler.draw(100, 2), DIRECT).y)
     evaluator = RobustEvaluator(
-        system, t, problem.uncertainty, spec, "mc", m=100, seed=2, mda_settings=DIRECT
+        system, t, problem.uncertainty, spec, "mc:100", seed=2, mda_settings=DIRECT
     )
     assert np.array_equal(evaluator.constraints(x), est.mean + 2.0 * est.std)
 
