@@ -6,20 +6,28 @@ followed by the separator its code names, as ``umdobench.problem._SEPARATORS``
 lists them: 0 is ", " inside a row, 1 is "], [" at the end of a row, and 2 is
 nothing at the end of an array.
 
-For a value x whose decimal exponent E lies in [-6, 16], |x| * 10**(16 - E)
-is formed exactly as a double-double: the power of ten is exact up to
-10**22, and Dekker's split product is exact without FMA. E comes from log10
-and is fixed by one where the product lands outside [1e16, 1e17). Rounding
-the product half to even gives the 17 digits, which a 4-digit lookup table
-turns into characters. Each value's
-text is laid out in a fixed-width row that holds every character any layout
-needs: sign, the "0.000" of E < 0, the digits and a point, the "e-05" or
-"e-06" of E < -4, and the separator that follows the value. One table
-lookup, keyed by exponent, sign, separator and the number of digits up to
-the last nonzero one, gives each row's mask of kept characters, and one
-boolean compress of all rows gives the text. Zeros of either sign have
-their own masks. Any other value (a subnormal, or an exponent outside
-[-6, 16]) is formatted alone by ``format`` and copied into its row.
+For a nonzero value x whose decimal exponent E lies in [-6, 16],
+|x| * 10**(16 - E) is formed exactly as a double-double: the power of ten is
+exact up to 10**22, and Dekker's split product is exact without FMA. E comes
+from log10 and is fixed by one where the product lands outside [1e16, 1e17).
+Rounding the product half to even gives the 17 digits, which a 4-digit lookup
+table turns into characters. The number of digits up to the last nonzero one
+is 17 unless the last digit is 0, so only those values look it up. Any other
+nonzero value (a subnormal, or an exponent outside [-6, 16]) is formatted
+alone by ``format``.
+
+Each value's text is laid out in a fixed-width row that holds every
+character any layout needs: sign, the "0.000" of E < 0, the digits and a
+point, the "e-05" or "e-06" of E < -4, and the separator that follows the
+value. Zeros, which make up most of a chunk of an isotropic covariance block,
+take none of the digit arithmetic: their rows hold only the head word
+"-0.0", whose "0" or "-0.0" they keep, and the separator word. One table
+lookup, keyed by exponent, sign, separator and the number of digits up to the
+last nonzero one (by zero and sign alone for a zero), gives each row's mask:
+0xFF on the characters it keeps, 0x00 elsewhere. The rows are built in a
+bytearray; ANDing them with their masks in place turns every dropped
+character into NUL, which no text holds, and ``bytearray.translate`` deletes
+the NULs to give the text.
 
 :mod:`umdobench.problem` imports this module when a chunk of a file first
 needs it, so neither importing the package nor writing a small file
@@ -92,7 +100,8 @@ def _layout_tables():
     last = 4 - np.argmax(nonzero[:, ::-1], axis=1)
     group_l = np.where(nonzero.any(axis=1), last + 4 * np.arange(4)[:, None] + 1, 1)
     return (
-        mask,
+        # 0xFF on a kept character, 0x00 on a dropped one, read as row words.
+        (mask * np.uint8(0xFF)).view(np.uint32),
         np.count_nonzero(mask, axis=1),
         shift,
         np.frombuffer(b"".join(b"00%d." % d for d in range(10)), dtype=np.uint32),
@@ -139,43 +148,70 @@ def format_values(values, seps):
     """Text of the finite ``values``, each followed by the separator coded
     ``seps[i]``.
 
-    Returns the ASCII text as a uint8 array and the end offset of each value's
+    Returns the ASCII text as a bytearray and the end offset of each value's
     text in it.
     """
-    mask_table, text_len, point_shift, lead_word, group_word, group_l, exp_word = (
-        _layout_tables()
-    )
+    mask_table, text_len, *value_tables = _layout_tables()
+    n = values.size
+    # The rows live in the buffer that translate reads, so they are not copied.
+    buffer = bytearray(4 * _ROW_WORDS * n)
+    rows = np.frombuffer(buffer, dtype=np.uint32).reshape(n, _ROW_WORDS)
+    nonzero = np.flatnonzero(values)
+    if nonzero.size == n:
+        kind, length = _value_rows(values, value_tables, rows)
+    else:
+        rows[:, 0] = _HEAD_WORD
+        rows[:, 7] = _SEPARATOR_WORD
+        kind = _ZERO + np.signbit(values)
+        length = np.zeros(n, dtype=np.intp)  # a zero's mask does not depend on it
+        if nonzero.size:
+            value_rows = np.empty((nonzero.size, _ROW_WORDS), dtype=np.uint32)
+            kind[nonzero], length[nonzero] = _value_rows(
+                values.take(nonzero), value_tables, value_rows
+            )
+            rows[nonzero] = value_rows
+    key = (kind * _SEPARATOR_CODES + seps) * _MAX_TEXT + length
+    rows &= mask_table.take(key, axis=0)
+    return buffer.translate(None, b"\0"), np.cumsum(text_len.take(key))
+
+
+def _value_rows(values, tables, rows):
+    """Fill ``rows`` with the rows of nonzero finite ``values``; return the
+    row kinds and digit counts."""
+    point_shift, lead_word, group_word, group_l, exp_word = tables
     n = values.size
     ax = np.abs(values)
-    with np.errstate(divide="ignore"):
-        e = np.floor(np.log10(ax))  # -inf for zeros
+    e = np.floor(np.log10(ax))
     ok = (e >= _E_MIN - 1) & (e <= _E_MAX + 1)
-    # The other values are set to 1, which needs no shift at E = 0.
-    e = np.clip(np.where(ok, e, 0), _E_MIN, _E_MAX).astype(np.intp)
-    ax = np.where(ok, ax, 1.0)
+    e = np.clip(e, _E_MIN, _E_MAX).astype(np.intp)
+    if not ok.all():  # the other values are set to 1, which needs no shift at E = 0
+        e[~ok] = 0
+        ax[~ok] = 1.0
     p, err = _scaled(ax, e)
     shift = _decade_shift(p, err)
-    if shift.any():
-        e += shift
-        ok &= (e >= _E_MIN) & (e <= _E_MAX)
-        np.clip(e, _E_MIN, _E_MAX, out=e)
-        p, err = _scaled(ax, e)
-        ok &= _decade_shift(p, err) == 0
+    moved = np.flatnonzero(shift)
+    if moved.size:  # only the moved values are scaled again
+        e_m = e[moved] + shift[moved]
+        ok_m = (e_m >= _E_MIN) & (e_m <= _E_MAX)
+        np.clip(e_m, _E_MIN, _E_MAX, out=e_m)
+        p_m, err_m = _scaled(ax[moved], e_m)
+        ok_m &= _decade_shift(p_m, err_m) == 0
+        p_m[~ok_m] = 1e16
+        err_m[~ok_m] = 0.0
+        e[moved], p[moved], err[moved] = e_m, p_m, err_m
+        ok[moved] &= ok_m
     # p >= 1e16 > 2**53 is an even integer, so rounding p + err half to even
     # adds rint(err) to it.
-    digits = np.where(ok, p, 1e16).astype(np.int64)
-    digits += np.rint(np.where(ok, err, 0.0)).astype(np.int64)
+    digits = p.astype(np.int64)
+    digits += np.rint(err).astype(np.int64)
     carry = digits == 10**17
     digits[carry] = 10**16
     e += carry
     ok &= e <= _E_MAX
 
-    low = digits % 10**8
-    high = digits // 10**8
-    first = high // 10**8
-    high -= first * 10**8
-    groups = (high // 10**4, high % 10**4, low // 10**4, low % 10**4)
-    rows = np.empty((n, _ROW_WORDS), dtype=np.uint32)
+    high, low = np.divmod(digits, 10**8)
+    first, high = np.divmod(high, 10**8)
+    groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
     rows[:, 0] = _HEAD_WORD
     rows[:, 1] = lead_word.take(first)
     for j, g in enumerate(groups):
@@ -183,21 +219,21 @@ def format_values(values, seps):
     rows[:, 6] = exp_word.take(e - _E_MIN)
     rows[:, 7] = _SEPARATOR_WORD
     chars = rows.view(np.uint8)
-    length = np.maximum(
-        np.maximum(group_l[0].take(groups[0]), group_l[1].take(groups[1])),
-        np.maximum(group_l[2].take(groups[2]), group_l[3].take(groups[3])),
-    )
+    # 17 digits unless the last is 0; only those look the count up.
+    length = np.full(n, 17, dtype=np.intp)
+    tail = np.flatnonzero(groups[3] % 10 == 0)
+    if tail.size:
+        length[tail] = np.maximum(
+            np.maximum(group_l[0].take(groups[0][tail]), group_l[1].take(groups[1][tail])),
+            np.maximum(group_l[2].take(groups[2][tail]), group_l[3].take(groups[3][tail])),
+        )
     wide = np.flatnonzero(ok & (e > 0))
     if wide.size:
         chars[wide] = chars[wide[:, None], point_shift[e[wide]]]
 
-    neg = np.signbit(values)
-    kind = np.where(ok, 2 * (e - _E_MIN) + neg, np.where(values == 0.0, _ZERO + neg, _FALLBACK))
-    for i in np.flatnonzero(kind == _FALLBACK):  # never a zero
+    kind = np.where(ok, 2 * (e - _E_MIN) + np.signbit(values), _FALLBACK)
+    for i in np.flatnonzero(~ok):
         text = format(float(values[i]), ".17g").encode("ascii")
         chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
         length[i] = len(text)
-
-    key = (kind * _SEPARATOR_CODES + seps) * _MAX_TEXT + length
-    mask = mask_table.take(key, axis=0)
-    return np.compress(mask.ravel(), chars.ravel()), np.cumsum(text_len.take(key))
+    return kind, length

@@ -88,7 +88,12 @@ class ProblemConfig:
     d_local : tuple of int
         Per-discipline local design dimensions, length N.
     p_coupling : tuple of int
-        Per-discipline coupling output dimensions, length N.
+        Per-discipline coupling output dimensions, length N, each at least
+        the discipline's ``d_local`` entry. The reduced QP's Hessian is
+        ``2 (diag(I_shared, 0) + beta' beta)`` with ``beta = -P D`` and ``P``
+        invertible, so it is positive definite, and the reference optimum
+        unique, exactly when every local block ``D_local[i]`` has full column
+        rank; a block with fewer rows than columns never has.
     coupling_strength : float
         Upper bound, in (0, ``MAX_COUPLING_STRENGTH``] = (0, 0.99], on every
         row sum of the off-diagonal part of the assembled coupling matrix.
@@ -123,6 +128,12 @@ class ProblemConfig:
                 raise ValueError(f"{name} must have length n_disciplines")
             if any(v < 1 for v in dims):
                 raise ValueError(f"all {name} entries must be >= 1")
+        for i, (p, d) in enumerate(zip(self.p_coupling, self.d_local)):
+            if p < d:
+                raise ValueError(
+                    f"p_coupling[{i}] = {p} is below d_local[{i}] = {d}: the reference "
+                    "optimum would not be unique"
+                )
         if not 0.0 < self.coupling_strength <= MAX_COUPLING_STRENGTH:
             raise ValueError(f"coupling_strength must lie in (0, {MAX_COUPLING_STRENGTH}]")
         if not 0.0 < self.feasibility_level < 1.0:
@@ -137,19 +148,6 @@ class ProblemConfig:
     def p(self) -> int:
         """Total coupling dimension sum(p_coupling)."""
         return sum(self.p_coupling)
-
-    @property
-    def is_well_posed(self) -> bool:
-        """Whether the reduced quadratic form is positive definite a.s.
-
-        True when every discipline outputs at least as many couplings as it
-        has local design variables and the total coupling dimension is at
-        least the total design dimension.
-        """
-        return (
-            all(p >= d for p, d in zip(self.p_coupling, self.d_local))
-            and self.p >= self.d
-        )
 
 
 @dataclass(frozen=True)
@@ -258,10 +256,20 @@ class BlockSystem:
     off the diagonal; ``D`` has its first ``d_shared`` columns dense and the
     remaining columns block diagonal. ``d_shared`` alone says which design
     variables are shared: the first ``d_shared``, whose squares the objective
-    sums with those of the coupling outputs. The LU factorization of ``C``
-    and the derived linear maps are computed lazily and cached; the
-    propagated output variances are computed on request by
-    :meth:`output_variance`.
+    sums with those of the coupling outputs.
+
+    What it caches: the LU factorization of ``C``, the iteration matrix and
+    the affine map, each computed when first read, and the output variances
+    of the last noise that :meth:`output_variance` propagated, so that the
+    reference QP and the evaluators built on one system compute them once.
+    The memo holds the noise's diagonal blocks as the positions and bit
+    patterns of their entries that are not +0.0, never the dense p x p
+    covariance, so an isotropic block costs it 16 bytes per row. It answers
+    only a covariance whose blocks are bit for bit those: another noise, or
+    the same one changed in place, is propagated anew. It is as safe as the
+    cached maps it reads, which rest on what the package keeps: a system's
+    arrays are not written after it is built. Each answer is a copy, so no
+    caller sees another's edits.
     """
 
     def __init__(self, C, D, a, p_coupling, d_shared):
@@ -270,6 +278,8 @@ class BlockSystem:
         self.a = np.asarray(a, dtype=float)
         self.p_coupling = tuple(p_coupling)
         self.d_shared = int(d_shared)
+        self._noise_key = None  # the last propagated noise blocks, by _nonzero_bits
+        self._variance = None
 
     @property
     def p(self) -> int:
@@ -342,7 +352,7 @@ class BlockSystem:
         P = scipy.linalg.lu_solve(self.lu, np.eye(self.p), check_finite=False)
         with np.errstate(over="ignore", invalid="ignore"):
             alpha = P @ self.a
-            beta = -P @ self.D
+            beta = -(P @ self.D)  # negates the p x d product, not a p x p copy of P
             bound = np.abs(alpha) + np.abs(beta).sum(axis=1)
             finite = np.isfinite(bound @ bound)
         if not finite:
@@ -359,7 +369,9 @@ class BlockSystem:
         diagonal over the coupling blocks, so the variances are summed block
         by block, ``rowsum((P[:, b] @ Sigma[b, b]) * P[:, b])``, at
         O(p^2 p_block) cost instead of the O(p^3) full product. They are
-        clamped at zero once no component is negative beyond round-off.
+        clamped at zero once no component is negative beyond round-off. A
+        ``sigma`` whose blocks are bit for bit those of the last one
+        propagated is answered from the system's memo, without the products.
 
         Raises
         ------
@@ -375,18 +387,36 @@ class BlockSystem:
             raise ValueError(f"sigma must have shape ({p}, {p}), got {sigma.shape}")
         # Off the blocks sigma must be zero, so symmetry is checked per block.
         blocks = [sigma[b, b] for b in self.block_slices]
-        if not all(np.allclose(s, s.T, atol=1e-10) for s in blocks):
+        key = [_nonzero_bits(s) for s in blocks]
+        known = key == self._noise_key  # blocks that passed these checks
+        if not known and not all(np.allclose(s, s.T, atol=1e-10) for s in blocks):
             raise ValueError("sigma must be symmetric")
         if np.count_nonzero(sigma) != sum(np.count_nonzero(s) for s in blocks):
             raise ValueError("sigma must be zero off the coupling blocks")
+        if not known:
+            self._variance = self._propagate(blocks)
+            self._noise_key = key
+        return self._variance.copy()
+
+    def _propagate(self, blocks) -> np.ndarray:
+        """``diag(P Sigma P')`` summed over the diagonal ``blocks`` of Sigma."""
         _, _, P = self.linear_map
-        var = np.zeros(p)
+        var = np.zeros(self.p)
         for b, sigma_b in zip(self.block_slices, blocks):
             P_b = P[:, b]
             var += ((P_b @ sigma_b) * P_b).sum(axis=1)
         if var.min() < -1e-12 * max(1.0, abs(var).max()):
             raise NumericalError(f"propagated variance has negative component {var.min():.3e}")
         return np.maximum(var, 0.0)
+
+
+def _nonzero_bits(block) -> bytes:
+    """The flat positions and bit patterns of the entries of ``block`` that
+    are not +0.0, as bytes: the block's exact content in 16 bytes per such
+    entry, so an isotropic block costs 16 bytes per row."""
+    bits = block.view(np.int64).ravel()
+    where = np.flatnonzero(bits)
+    return where.tobytes() + bits.take(where).tobytes()
 
 
 def generate(config: ProblemConfig) -> ScalableProblem:
@@ -534,7 +564,7 @@ def tune_feasibility(
 #
 # ``_pieces`` walks the document once into literal text and arrays of at most
 # two dimensions, and cuts their values, in document order, into chunks of
-# ``_CHUNK`` values, so the working set stays at about 2 MB (one chunk's kernel
+# ``_CHUNK`` values, so the working set stays at about 1 MB (one chunk's kernel
 # temporaries) at any problem size. ``_emit`` writes the pieces into one buffer
 # for ``serialize`` and ``export_qp``, and ``problem_digest`` hashes them, one
 # at a time. A chunk is formatted by ``umdobench._floatfmt``, an exact numpy
@@ -543,9 +573,11 @@ def tune_feasibility(
 # ``%``-format instead, which at that size costs less than numpy's per-call
 # overhead, unless it holds a -0.0. Both sizes come from timing the two paths
 # on uniform values: the kernel's cost per value is lowest from about 4 096 to
-# 8 192 values per call and rises for larger chunks, and it undercuts the
+# 8 192 values per call and rises for larger chunks, and it undercut the
 # ``%``-format from about 250 values up (100 µs each at 250 values, 200
-# against 290 µs at 400).
+# against 290 µs at 400). The kernel that skips zeros' digit arithmetic
+# undercuts it from about 200 values (93 against 105 µs at 250, 105 against
+# 175 µs at 400), so 256 is kept.
 # ``_floatfmt`` is imported when a chunk first needs it, so a process that
 # writes only small files never compiles it.
 
@@ -585,6 +617,7 @@ def _format_chunk(chunk):
     from ._floatfmt import format_values  # compiled when a chunk first needs it
 
     text, ends = format_values(values, np.concatenate([s for _, _, s in chunk]))
+    text = memoryview(text)  # slices without copies
     start = stop = 0
     for literal, v, _ in chunk:
         stop += v.size

@@ -8,7 +8,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from umdobench import ProblemConfig, ScalableProblem, UncertaintyModel
+from umdobench import (
+    BlockSystem,
+    ProblemConfig,
+    ScalableProblem,
+    UncertaintyModel,
+    assemble,
+    generate,
+)
 
 
 @pytest.fixture
@@ -66,6 +73,25 @@ def non_contracting_copy(problem, k=10.0):
         D_shared=tuple(s_i * block for s_i, block in zip(s, problem.D_shared)),
         D_local=tuple(s_i * block for s_i, block in zip(s, problem.D_local)),
         C_blocks={(i, j): block * s[i] / s[j] for (i, j), block in problem.C_blocks.items()},
+    )
+
+
+def rank_deficient_system(seed=0):
+    """Two disciplines with one coupling output each against two local
+    design variables each, so the design map loses rank.
+
+    ProblemConfig refuses that shape, so the system keeps the first output
+    of each discipline of a generated ``(2, 1, (2, 2), (3, 3))`` instance:
+    its coupling rows only lose terms, and it still contracts.
+    """
+    system = assemble(generate(ProblemConfig(2, 1, (2, 2), (3, 3), seed=seed)))
+    rows = [b.start for b in system.block_slices]
+    return BlockSystem(
+        C=system.C[np.ix_(rows, rows)],
+        D=system.D[rows],
+        a=system.a[rows],
+        p_coupling=(1, 1),
+        d_shared=system.d_shared,
     )
 
 

@@ -22,6 +22,7 @@ from umdobench.qp import (
     solve_qp,
 )
 from umdobench.uq import GaussianSampler, StatisticSpec, exact_stats, mc_estimate
+from conftest import rank_deficient_system
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -66,7 +67,11 @@ def test_criterion_2_reduced_hessian_positive_definite():
         definite, lam_min = check_positive_definite(reduce_deterministic(system, 0.0))
         n_definite += bool(definite)
         lam_worst = min(lam_worst, lam_min)
-    degenerate = assemble(generate(two_discipline_config(0, p_coupling=(1, 1))))
+    # One output against two local variables per discipline: refused as a
+    # config, and singular when built by hand.
+    with pytest.raises(ValueError, match="below d_local"):
+        two_discipline_config(0, p_coupling=(1, 1))
+    degenerate = rank_deficient_system(seed=0)
     deg_definite, deg_lam = check_positive_definite(reduce_deterministic(degenerate, 0.0))
     ok = n_definite == 100 and not deg_definite and abs(deg_lam) <= 1e-10
     _report(

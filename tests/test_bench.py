@@ -7,6 +7,9 @@ import io
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +252,63 @@ def test_one_assembly_per_benchmark(monkeypatch):
     assert not report.failures and len(report.runs) == 4
     # 1 for the reference + 1 for each of the two deterministic runs.
     assert calls == {"assemble": 1, "linear_map": 1, "output_variance": 3}
+
+
+def test_one_variance_propagation_per_benchmark(monkeypatch):
+    # The reference QP and the exact and Taylor evaluators read one system
+    # and one noise model, so the block products run once per benchmark.
+    problem = default_benchmark_problem(70)
+    propagated = []
+    real = BlockSystem._propagate
+
+    def counted(self, blocks):
+        propagated.append(1)
+        return real(self, blocks)
+
+    monkeypatch.setattr(BlockSystem, "_propagate", counted)
+    report = run_benchmark(problem, ("taylor", "exact"))
+    assert not report.failures and len(report.runs) == 2
+    assert len(propagated) == 1
+
+
+_THREAD_PROBE = """
+import hashlib, json
+from umdobench import OptimizerSettings, serialize
+from umdobench.bench import default_benchmark_problem, run_benchmark
+problem = default_benchmark_problem(seed=70)
+report = run_benchmark(
+    problem, ("mc:20", "taylor", "exact"), repetitions=2, optimizer=OptimizerSettings(max_iter=40)
+)
+print(json.dumps({
+    "t": problem.t.hex(),
+    "file": hashlib.sha256(serialize(problem)).hexdigest(),
+    "x_star": [float(v).hex() for v in report.reference["x_star"]],
+    "n_evals": [[r.estimator, r.rep, r.n_evals] for r in report.runs],
+    "failures": report.failures,
+}))
+"""
+
+
+def test_p6_benchmark_does_not_depend_on_the_blas_thread_count():
+    # README promises that at p = 6 only SLSQP's iterates, and so the rows'
+    # last bits, move with the BLAS thread count: the threshold, the file,
+    # the reference optimum and every evaluation count do not. numpy and
+    # scipy bundle different OpenBLAS builds, so the variable, not one
+    # library's symbol, sets the count.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    seen = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        seen.append(json.loads(result.stdout.splitlines()[-1]))
+    assert not seen[0]["failures"] and len(seen[0]["n_evals"]) == 4
+    assert seen[0] == seen[1]
 
 
 def test_probability_statistic_is_rejected():

@@ -65,6 +65,27 @@ def test_generate_rejects_alpha_outside_unit_interval(tmp_path, capsys):
     assert "feasibility_level" in capsys.readouterr().err
 
 
+def test_ill_posed_config_exits_2_and_its_file_exits_4(problem_path, tmp_path, capsys):
+    # A discipline with fewer outputs than local variables has no unique
+    # reference: refused as an argument by generate, as a field on load.
+    out = tmp_path / "x.json"
+    argv = [
+        "generate", "--disciplines", "2", "--shared", "1", "--local", "2,2",
+        "--coupling", "1,3", "--out", str(out),
+    ]
+    assert main(argv) == 2
+    assert "p_coupling[0] = 1 is below d_local[0] = 2" in capsys.readouterr().err
+    assert not out.exists()
+    doc = json.loads(problem_path.read_bytes())
+    doc["config"]["d_local"] = [4, 2]
+    bad = tmp_path / "ill_posed.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve-ref", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "field: config" in err and "below d_local" in err
+    assert "Traceback" not in err
+
+
 def test_generate_rejects_too_few_tuning_samples(tmp_path, capsys):
     out = tmp_path / "x.json"
     argv = [

@@ -23,6 +23,7 @@ from umdobench import (
     serialize,
     tune_feasibility,
 )
+from umdobench.qp import check_positive_definite, reduce_deterministic
 from umdobench.problem import _CHUNK as CHUNK, _MIN_KERNEL as MIN_KERNEL, _emit
 from conftest import make_toy_problem
 from oracles import draw_reference_instance
@@ -112,11 +113,26 @@ def test_config_validation():
 
 
 def test_well_posedness_predicate():
-    assert ProblemConfig(2, 1, (2, 2), (3, 3)).is_well_posed
-    # A discipline with fewer outputs than local variables loses rank.
-    assert not ProblemConfig(2, 1, (2, 2), (1, 3)).is_well_posed
-    # Total coupling dimension below total design dimension loses rank too.
-    assert not ProblemConfig(2, 4, (2, 2), (3, 3)).is_well_posed
+    # A discipline with fewer outputs than local variables leaves the reduced
+    # Hessian singular, so the config is refused, and a file that holds it.
+    with pytest.raises(ValueError, match=r"p_coupling\[0\] = 1 is below d_local\[0\] = 2"):
+        ProblemConfig(2, 1, (2, 2), (1, 3))
+    doc = json.loads(serialize(generate(ProblemConfig(2, 1, (2, 2), (3, 3)))))
+    doc["config"]["p_coupling"] = [1, 3]
+    with pytest.raises(ProblemFormatError, match="below d_local") as err:
+        deserialize(json.dumps(doc))
+    assert err.value.field == "config"
+    # Fewer outputs than design variables in total loses no rank: the shared
+    # variables' own squares in the objective make Q positive definite.
+    for config in (
+        ProblemConfig(2, 4, (2, 2), (3, 3)),
+        ProblemConfig(3, 10, (3, 3, 3), (3, 3, 3)),
+    ):
+        assert config.p < config.d
+        for seed in range(5):
+            system = assemble(generate(dataclasses.replace(config, seed=seed)))
+            is_pd, lam = check_positive_definite(reduce_deterministic(system, 0.0))
+            assert is_pd and lam > 0, (config, seed)
 
 
 # --- assembly and the exact linear map -----------------------------------------
@@ -166,6 +182,23 @@ def test_linear_map_satisfies_coupling_equations(small_config):
         u = rng.standard_normal(system.p)
         y = alpha + beta @ x + P @ u
         assert np.allclose(system.C @ y, system.a - system.D @ x + u, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ProblemConfig(2, 1, (2, 2), (3, 3), seed=70),  # p = 6
+        ProblemConfig(4, 1, (2,) * 4, (100,) * 4, seed=5),  # p = 400
+        ProblemConfig(20, 1, (5,) * 20, (30,) * 20, seed=3),  # p = 600
+    ],
+    ids=["p6", "p400", "p600"],
+)
+def test_linear_map_beta_is_bitwise_the_negated_inverse_times_d(config):
+    # beta negates the p x d product; negating P first, a p x p temporary,
+    # gives the same bits, since rounding is symmetric in sign.
+    system = assemble(generate(config))
+    _, beta, P = system.linear_map
+    assert beta.tobytes() == (-P @ system.D).tobytes()
 
 
 def test_singular_coupling_detected():
@@ -397,10 +430,17 @@ def _assert_same_text(got, want):
 )
 def test_array_kernel_matches_per_element_format(size):
     values = _kernel_inputs()
+    # An isotropic covariance block: 99 % zeros, the kernel's zero rows
+    # between value rows, with a few zeros and values negated.
+    iso = (1e-4 * np.eye(100)).ravel()
+    iso[np.random.default_rng(26).random(iso.size) < 0.02] *= -1.0
+    assert np.count_nonzero(iso) == 100
     # The head starts with 0.0 and -0.0, so every chunk of it takes the
-    # kernel; the tail holds no -0.0, so its chunks below MIN_KERNEL values
-    # take the %-format.
-    for part in (values[:size], values[-size:]):
+    # kernel; the tail holds no zero, and its chunks below MIN_KERNEL values
+    # take the %-format, as do the other parts below that size that hold no
+    # -0.0.
+    parts = (values[:size], values[-size:], iso[:size], np.zeros(size), np.full(size, -0.0))
+    for part in parts:
         _assert_same_text(_emit(part).decode("ascii"), _per_element(part))
         # The same values cut into arrays of the shapes serialize writes, so
         # that full chunks and the %-format tail cross arrays.
@@ -413,6 +453,13 @@ def test_array_kernel_matches_per_element_format(size):
             np.zeros((0, 3)),
             part[cut:],
         ]
+        _assert_same_text(_emit(doc).decode("ascii"), _document_text(doc))
+    # -0.0 before each separator code: inside a row, at the end of a row and
+    # at the end of an array, among zeros and among values.
+    for fill in (np.zeros(size), values[-size:]):
+        grid = np.resize(fill, max(size // 5, 1) * 5).reshape(-1, 5)
+        grid[0, 0] = grid[0, -1] = grid[-1, -1] = -0.0
+        doc = [grid, grid[0]]
         _assert_same_text(_emit(doc).decode("ascii"), _document_text(doc))
 
 

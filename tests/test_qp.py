@@ -26,6 +26,7 @@ from umdobench.qp import (
     reduce_probability,
     solve_qp,
 )
+from conftest import rank_deficient_system
 from oracles import solve_qp_projected_gradient
 
 
@@ -298,9 +299,7 @@ def test_positive_definite_on_well_posed_instances():
 def test_rank_deficient_configuration_reports_near_zero_eigenvalue():
     # One coupling output against two local variables per discipline: the
     # design map loses rank, which an SVD of the constraint matrix confirms.
-    config = ProblemConfig(2, 1, (2, 2), (1, 1), seed=0)
-    assert not config.is_well_posed
-    system = assemble(generate(config))
+    system = rank_deficient_system(seed=0)
     qp = reduce_deterministic(system, t=0.0)
     is_pd, lam = check_positive_definite(qp)
     assert not is_pd

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from umdobench import (
+    BlockSystem,
     NumericalError,
     ProblemConfig,
     UncertaintyModel,
@@ -397,6 +398,42 @@ def test_output_variance_follows_sigma():
     before = shared.output_variance(sigma)
     sigma *= 4.0
     assert np.allclose(shared.output_variance(sigma), 4.0 * before, rtol=1e-12, atol=0.0)
+
+
+def test_output_variance_propagates_each_new_noise_once(monkeypatch):
+    # The system keeps the variances of the last noise it propagated, keyed
+    # by the bits of the noise blocks: a repeated noise is not propagated
+    # again, another noise or a block changed in place is, and every answer
+    # is bitwise the one a fresh system gives.
+    propagated = []
+    real = BlockSystem._propagate
+
+    def counted(self, blocks):
+        propagated.append(self)
+        return real(self, blocks)
+
+    monkeypatch.setattr(BlockSystem, "_propagate", counted)
+    problem = reference_problem(seed=10)
+    shared = assemble(problem)
+    model = problem.uncertainty
+    other = random_block_covariance(np.random.default_rng(6), problem.config.p_coupling)
+
+    def answer(sigma_model, propagates):
+        before = sum(s is shared for s in propagated)
+        got = shared.output_variance(sigma_model.sigma)
+        assert sum(s is shared for s in propagated) - before == propagates
+        assert got.tobytes() == assemble(problem).output_variance(sigma_model.sigma).tobytes()
+        return got
+
+    first = answer(model, 1)
+    first[:] = -1.0  # an answer is a copy: the memo is not touched
+    answer(model, 0)
+    answer(other, 1)
+    answer(other, 0)
+    answer(model, 1)
+    model.sigma_blocks[1][:] *= 4.0  # the same model, changed in place
+    answer(model, 1)
+    answer(model, 0)
 
 
 def test_output_variance_contract():
