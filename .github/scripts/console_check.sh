@@ -19,6 +19,18 @@ digest=$(umdo-bench generate --disciplines 2 --shared 1 --local 2,2 --coupling 3
 test "$digest" = "$(sha256sum p.json | cut -d ' ' -f 1)"
 test "$digest" = "$P_JSON_SHA256"
 umdo-bench solve-ref p.json --statistic margin --kappa 2 --out ref.json
+# The same document with sorted keys, which puts the arrays before the
+# config, and indented reads back the same problem: the same record.
+python -c "import json; json.dump(json.load(open('p.json')), open('sorted.json', 'w'), sort_keys=True, indent=2)"
+umdo-bench solve-ref sorted.json --statistic margin --kappa 2 --out sorted_ref.json
+cmp ref.json sorted_ref.json
+# A file cut inside C_blocks is malformed: exit code 4 and one error line.
+python -c "d = open('p.json', 'rb').read(); open('cut.json', 'wb').write(d[: d.index(b'\"C_blocks\"') + 40])"
+status=0
+umdo-bench solve-ref cut.json 2> cut.err || status=$?
+test "$status" -eq 4
+test "$(wc -l < cut.err)" -eq 1
+test "$(grep -c '^error:' cut.err)" -eq 1
 # Invalid numbers are usage errors, exit code 2.
 status=0
 umdo-bench solve-ref p.json --statistic margin --kappa nan || status=$?

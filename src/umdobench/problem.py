@@ -25,6 +25,8 @@ import hashlib
 import io
 import json
 import math
+import re
+import types
 import warnings
 from dataclasses import asdict, dataclass, fields
 
@@ -580,6 +582,16 @@ def tune_feasibility(
 # 175 µs at 400), so 256 is kept.
 # ``_floatfmt`` is imported when a chunk first needs it, so a process that
 # writes only small files never compiles it.
+#
+# ``deserialize`` reads a file with json's own C scanner one top-level member
+# at a time, and a block list (``D_shared``, ``D_local``, ``C_blocks``,
+# ``sigma_blocks``) one block at a time, converting each block to its array
+# before it decodes the next. Its peak is then the decoded text (one byte
+# per character), the arrays and one block's Python floats: tracemalloc reads
+# 1.37x the file at p = 600 and 1.35x at p = 2000, where ``json.loads`` of
+# the whole document peaked at 2.9x and 2.8x. That is the lean order, config
+# before the arrays, as serialize writes it; an array that comes before the
+# config is decoded whole and held until the config is read.
 
 _CHUNK = 4096
 _MIN_KERNEL = 256
@@ -703,10 +715,6 @@ def _emit(obj) -> bytes:
     return buffer.getvalue()
 
 
-# The top-level keys that _document writes; deserialize rejects any other.
-_DOCUMENT_KEYS = ("version", "config", "a", "D_shared", "D_local", "C_blocks", "t", "sigma_blocks")
-
-
 def _document(problem: ScalableProblem) -> dict:
     return {
         "version": FORMAT_VERSION,
@@ -729,12 +737,83 @@ def serialize(problem: ScalableProblem) -> bytes:
     return _emit(_document(problem))
 
 
-def _require(mapping, key, path):
-    if not isinstance(mapping, dict):
-        raise ProblemFormatError("expected a JSON object", field=path)
-    if key not in mapping:
-        raise ProblemFormatError("missing required field", field=f"{path}{key}")
-    return mapping[key]
+def _invalid(exc) -> ProblemFormatError:
+    return ProblemFormatError(f"invalid JSON: {exc}", field="<root>")
+
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # the characters json skips between tokens
+_DECODER = json.JSONDecoder()
+
+
+class _Scanner:
+    """A cursor over JSON text that decodes one value at a time with json's
+    own C scanner: ``raw_decode`` reads a value, ``scanstring`` a key. Its
+    syntax errors, and json's, are ProblemFormatErrors naming ``<root>``."""
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+
+    def peek(self) -> str:
+        """The next character after whitespace, or '' at the end."""
+        self.pos = _WHITESPACE.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
+
+    def expect(self, char, what):
+        if self.peek() != char:
+            raise _invalid(json.JSONDecodeError(f"Expecting {what}", self.text, self.pos))
+        self.pos += 1
+
+    def value(self):
+        """The next value, decoded whole."""
+        self.peek()
+        # json's errors are ValueErrors, as is the error for an integer
+        # longer than Python's int-to-str digit limit.
+        try:
+            value, self.pos = _DECODER.raw_decode(self.text, self.pos)
+        except (ValueError, RecursionError) as exc:
+            raise _invalid(exc) from exc
+        return value
+
+    def array(self):
+        """The next value: if it is an array, a generator that decodes its
+        elements one at a time as it is iterated; otherwise the value."""
+        return self._elements() if self.peek() == "[" else self.value()
+
+    def _elements(self):
+        self.pos += 1
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        while True:
+            yield self.value()
+            if self.peek() != ",":
+                self.expect("]", "',' delimiter")
+                return
+            self.pos += 1
+
+    def members(self):
+        """Yield the keys of the object that starts here; the caller reads
+        each key's value before it asks for the next key."""
+        self.expect("{", "'{'")
+        if self.peek() == "}":
+            self.pos += 1
+            return
+        while True:
+            self.expect('"', "property name enclosed in double quotes")
+            try:
+                key, self.pos = json.decoder.scanstring(self.text, self.pos)
+            except ValueError as exc:
+                raise _invalid(exc) from exc
+            self.expect(":", "':' delimiter")
+            yield key
+            if self.peek() != ",":
+                self.expect("}", "',' delimiter")
+                return
+            self.pos += 1
+
+    def end(self):
+        if self.peek():
+            raise _invalid(json.JSONDecodeError("Extra data", self.text, self.pos))
 
 
 def _as_int(value, path):
@@ -765,12 +844,6 @@ def _as_float(value, path):
     return value
 
 
-def _as_blocks(value, n, path):
-    if not isinstance(value, list) or len(value) != n:
-        raise ProblemFormatError(f"expected a list of {n} blocks", field=path)
-    return value
-
-
 def _as_array(value, shape, path):
     try:
         arr = np.asarray(value, dtype=float)
@@ -785,12 +858,127 @@ def _as_array(value, shape, path):
     return arr
 
 
+def _is_array(value) -> bool:
+    """A JSON array, decoded whole or streamed by :meth:`_Scanner.array`."""
+    return isinstance(value, (list, types.GeneratorType))
+
+
+def _as_version(value):
+    version = _as_int(value, "version")
+    if version != FORMAT_VERSION:
+        raise ProblemVersionError(
+            f"unsupported format version {version!r} (expected {FORMAT_VERSION})",
+            field="version",
+        )
+    return version
+
+
 # How deserialize reads each ProblemConfig field, keyed by the field's
 # annotation (a string, under ``from __future__ import annotations``).
 # Derived from the dataclass, so every field serialize writes is read back;
 # a field of a type missing here fails at import, not silently.
 _CONVERTERS = {"int": _as_int, "float": _as_float, "tuple[int, ...]": _as_int_list}
 _CONFIG_FIELDS = tuple((f.name, _CONVERTERS[f.type]) for f in fields(ProblemConfig))
+
+
+def _as_config(value) -> ProblemConfig:
+    if not isinstance(value, dict):
+        raise ProblemFormatError("expected a JSON object", field="config")
+    values = {}
+    for key, convert in _CONFIG_FIELDS:
+        if key not in value:
+            raise ProblemFormatError("missing required field", field=f"config.{key}")
+        values[key] = convert(value[key], f"config.{key}")
+    for key in value:
+        if key not in values:
+            raise ProblemFormatError("unknown config field", field=f"config.{key}")
+    try:
+        return ProblemConfig(**values)
+    except ValueError as exc:
+        raise ProblemFormatError(f"invalid config: {exc}", field="config") from exc
+
+
+def _as_block_list(elements, shapes, path):
+    """One array per element of ``elements``, each converted as it arrives.
+    A streamed list is decoded a block at a time, so only one block's
+    Python floats exist at once."""
+    wrong_count = f"expected a list of {len(shapes)} blocks"
+    if not _is_array(elements):
+        raise ProblemFormatError(wrong_count, field=path)
+    blocks = []
+    for block in elements:
+        k = len(blocks)
+        if k == len(shapes):
+            raise ProblemFormatError(wrong_count, field=path)
+        blocks.append(_as_array(block, shapes[k], f"{path}[{k}]"))
+        del block  # freed before the next block is decoded
+    if len(blocks) != len(shapes):
+        raise ProblemFormatError(wrong_count, field=path)
+    return tuple(blocks)
+
+
+def _as_coupling_blocks(elements, config):
+    if not _is_array(elements):
+        raise ProblemFormatError("expected a list of [i, j, matrix] triples", field="C_blocks")
+    n = config.n_disciplines
+    blocks = {}
+    for entry in elements:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ProblemFormatError("expected [i, j, matrix] triples", field="C_blocks")
+        i, j = _as_int(entry[0], "C_blocks"), _as_int(entry[1], "C_blocks")
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise ProblemFormatError(f"invalid block index ({i}, {j})", field="C_blocks")
+        if (i, j) in blocks:
+            raise ProblemFormatError(f"repeated block index ({i}, {j})", field="C_blocks")
+        blocks[(i, j)] = _as_array(
+            entry[2],
+            (config.p_coupling[i], config.p_coupling[j]),
+            f"C_blocks[{i},{j}]",
+        )
+        del entry  # freed before the next triple is decoded
+    expected_blocks = n * (n - 1)
+    if len(blocks) != expected_blocks:
+        raise ProblemFormatError(
+            f"expected {expected_blocks} coupling blocks, got {len(blocks)}",
+            field="C_blocks",
+        )
+    return blocks
+
+
+def _as_uncertainty(elements, config):
+    if elements is None:
+        return None
+    shapes = [(p, p) for p in config.p_coupling]
+    blocks = _as_block_list(elements, shapes, "sigma_blocks")
+    try:
+        return UncertaintyModel(sigma_blocks=blocks)
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc), field="sigma_blocks") from exc
+
+
+# How deserialize reads every top-level member but the version and the
+# config, in the order _document writes them, each given its value and the
+# checked config. The block lists stream: their value is a generator of
+# decoded blocks when the member is read after the config.
+_MEMBERS = {
+    "a": lambda value, config: _as_array(value, (config.p,), "a"),
+    "D_shared": lambda value, config: _as_block_list(
+        value, [(p, config.d_shared) for p in config.p_coupling], "D_shared"
+    ),
+    "D_local": lambda value, config: _as_block_list(
+        value, list(zip(config.p_coupling, config.d_local)), "D_local"
+    ),
+    "C_blocks": _as_coupling_blocks,
+    "t": lambda value, config: _as_float(value, "t"),
+    "sigma_blocks": _as_uncertainty,
+}
+_STREAMED = ("D_shared", "D_local", "C_blocks", "sigma_blocks")
+
+
+def _member(key):
+    if key not in _MEMBERS:
+        raise ProblemFormatError("unknown field", field=key)
+    return _MEMBERS[key]
 
 
 def deserialize(data: bytes | str) -> ScalableProblem:
@@ -802,108 +990,79 @@ def deserialize(data: bytes | str) -> ScalableProblem:
     must be finite: ``json`` reads the tokens ``NaN`` and ``Infinity``, which
     :func:`serialize` never writes.
 
+    How a file is read: the text is decoded whole, then its top-level object
+    is read one member at a time, and each block list (every ``D_shared``,
+    ``D_local`` and ``sigma_blocks`` block, every ``C_blocks`` triple) one
+    block at a time, with json's own scanner. Each block is checked and
+    converted to its array before the next one is decoded, so besides the
+    text and the arrays only one block's Python floats exist at once. That
+    needs the version and the config first, the order :func:`serialize`
+    writes. A member that comes before them is decoded whole and checked
+    once both have been read: a file in another key order loads and meets
+    the same checks, at up to about three times its size in memory.
+
+    The version and then the config are checked first, wherever they
+    stand; every other member is checked in document order, and missing
+    fields at the end of the object. So a file is refused for its first
+    fault in that order, syntax errors included. A document that is not
+    an object is decoded whole, as ``json.loads`` would decode it.
+
     Raises
     ------
     ProblemVersionError
         If the file declares a different format version.
     ProblemFormatError
-        If a field is missing, malformed or unknown, or a coupling block is
-        listed twice; the error names the field path.
-        Data that does not parse as UTF-8 JSON, including nesting deeper than
-        the interpreter's recursion limit, names the field ``<root>``.
+        If a field is missing, malformed, unknown or repeated, or a coupling
+        block is listed twice; the error names the field path, ``config``
+        for the config object itself. Data that does not parse as UTF-8
+        JSON, including nesting deeper than the interpreter's recursion
+        limit, and a document that is not a JSON object name the field
+        ``<root>``.
     """
-    # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is the error
-    # for an integer longer than Python's int-to-str digit limit.
     try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        doc = json.loads(data)
-    except (ValueError, RecursionError) as exc:
-        raise ProblemFormatError(f"invalid JSON: {exc}", field="<root>") from exc
+        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    except UnicodeDecodeError as exc:
+        raise _invalid(exc) from exc
+    scanner = _Scanner(text)
+    if scanner.peek() != "{":
+        scanner.value()
+        scanner.end()
+        raise ProblemFormatError("expected a JSON object", field="<root>")
 
-    version = _as_int(_require(doc, "version", ""), "version")
-    if version != FORMAT_VERSION:
-        raise ProblemVersionError(
-            f"unsupported format version {version!r} (expected {FORMAT_VERSION})",
-            field="version",
-        )
-    for key in doc:
-        if key not in _DOCUMENT_KEYS:
-            raise ProblemFormatError("unknown field", field=key)
-
-    cfg_doc = _require(doc, "config", "")
-    values = {
-        key: convert(_require(cfg_doc, key, "config."), f"config.{key}")
-        for key, convert in _CONFIG_FIELDS
-    }
-    for key in cfg_doc:
-        if key not in values:
-            raise ProblemFormatError("unknown config field", field=f"config.{key}")
-    try:
-        config = ProblemConfig(**values)
-    except ValueError as exc:
-        raise ProblemFormatError(f"invalid config: {exc}", field="config") from exc
-
-    n = config.n_disciplines
-    a = _as_array(_require(doc, "a", ""), (config.p,), "a")
-
-    d_shared_doc = _as_blocks(_require(doc, "D_shared", ""), n, "D_shared")
-    d_local_doc = _as_blocks(_require(doc, "D_local", ""), n, "D_local")
-    D_shared = tuple(
-        _as_array(m, (config.p_coupling[i], config.d_shared), f"D_shared[{i}]")
-        for i, m in enumerate(d_shared_doc)
-    )
-    D_local = tuple(
-        _as_array(m, (config.p_coupling[i], config.d_local[i]), f"D_local[{i}]")
-        for i, m in enumerate(d_local_doc)
-    )
-
-    C_blocks = {}
-    c_doc = _require(doc, "C_blocks", "")
-    if not isinstance(c_doc, list):
-        raise ProblemFormatError("expected a list of [i, j, matrix] triples", field="C_blocks")
-    for entry in c_doc:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ProblemFormatError("expected [i, j, matrix] triples", field="C_blocks")
-        i, j = _as_int(entry[0], "C_blocks"), _as_int(entry[1], "C_blocks")
-        if not (0 <= i < n and 0 <= j < n and i != j):
-            raise ProblemFormatError(f"invalid block index ({i}, {j})", field="C_blocks")
-        if (i, j) in C_blocks:
-            raise ProblemFormatError(f"repeated block index ({i}, {j})", field="C_blocks")
-        C_blocks[(i, j)] = _as_array(
-            entry[2],
-            (config.p_coupling[i], config.p_coupling[j]),
-            f"C_blocks[{i},{j}]",
-        )
-    expected_blocks = n * (n - 1)
-    if len(C_blocks) != expected_blocks:
-        raise ProblemFormatError(
-            f"expected {expected_blocks} coupling blocks, got {len(C_blocks)}",
-            field="C_blocks",
-        )
-
-    t = _as_float(_require(doc, "t", ""), "t")
-
-    sigma_doc = _require(doc, "sigma_blocks", "")
-    uncertainty = None
-    if sigma_doc is not None:
-        blocks = tuple(
-            _as_array(m, (config.p_coupling[i], config.p_coupling[i]), f"sigma_blocks[{i}]")
-            for i, m in enumerate(_as_blocks(sigma_doc, n, "sigma_blocks"))
-        )
-        try:
-            uncertainty = UncertaintyModel(sigma_blocks=blocks)
-        except ValueError as exc:
-            raise ProblemFormatError(str(exc), field="sigma_blocks") from exc
+    version = config = None
+    members, held, seen = {}, {}, set()
+    for key in scanner.members():
+        if key in seen:
+            raise ProblemFormatError("repeated field", field=key)
+        seen.add(key)
+        if key == "version":
+            version = _as_version(scanner.value())
+        elif config is None:
+            held[key] = scanner.value()
+        else:
+            convert = _member(key)
+            members[key] = convert(scanner.array() if key in _STREAMED else scanner.value(), config)
+        if version is not None and config is None and "config" in held:
+            config = _as_config(held.pop("config"))
+        if config is not None:
+            for k in list(held):
+                members[k] = _member(k)(held.pop(k), config)
+    for key, found in (("version", version), ("config", config)):
+        if found is None:
+            raise ProblemFormatError("missing required field", field=key)
+    for key in _MEMBERS:
+        if key not in members:
+            raise ProblemFormatError("missing required field", field=key)
+    scanner.end()
 
     return ScalableProblem(
         config=config,
-        a=a,
-        D_shared=D_shared,
-        D_local=D_local,
-        C_blocks=C_blocks,
-        t=t,
-        uncertainty=uncertainty,
+        a=members["a"],
+        D_shared=members["D_shared"],
+        D_local=members["D_local"],
+        C_blocks=members["C_blocks"],
+        t=members["t"],
+        uncertainty=members["sigma_blocks"],
     )
 
 

@@ -216,6 +216,26 @@ def test_undecodable_problem_file_exits_4_without_traceback(problem_path, tmp_pa
     assert "Traceback" not in err
 
 
+def test_file_layout_does_not_change_the_record(problem_path, tmp_path, capsys):
+    # Sorted keys put every array before the config: that file is read whole,
+    # not block by block, and must give the same record.
+    doc = json.loads(problem_path.read_bytes())
+    layouts = tmp_path / "sorted.json"
+    layouts.write_text(json.dumps(doc, sort_keys=True, indent=2))
+    records = []
+    for path in (problem_path, layouts):
+        assert main(["solve-ref", str(path), "--statistic", "margin"]) == 0
+        records.append(capsys.readouterr().out)
+    assert records[0] == records[1]
+    cut = tmp_path / "cut.json"
+    blob = problem_path.read_bytes()
+    cut.write_bytes(blob[: blob.index(b'"C_blocks"') + 40])
+    assert main(["solve-ref", str(cut)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "field: <root>" in err
+
+
 def test_solve_ref_exhausted_iteration_budget_exits_4(problem_path, monkeypatch, capsys):
     monkeypatch.setattr(qp_mod, "_MAX_ITER", 1)
     assert main(["solve-ref", str(problem_path)]) == 4

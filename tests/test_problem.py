@@ -727,6 +727,172 @@ def test_deserialize_reads_exactly_the_config_fields(small_config):
     assert err.value.field == "config.coupling_strenght"
 
 
+# Two sizes for the block-by-block reader: one block per list at p = 6, and
+# 10 disciplines of 30 outputs (90 coupling triples) at p = 300.
+_STREAM_CONFIGS = {
+    6: ProblemConfig(2, 1, (2, 2), (3, 3), seed=42),
+    300: ProblemConfig(10, 1, (5,) * 10, (30,) * 10, seed=3),
+}
+
+
+def _streamed_problem(p, noise):
+    problem = generate(_STREAM_CONFIGS[p])
+    if noise:
+        problem.uncertainty = UncertaintyModel.isotropic(problem.config.p_coupling, 0.01)
+    tune_feasibility(problem, n_samples=500)
+    return problem
+
+
+@pytest.mark.parametrize("noise", [True, False], ids=["sigma", "no-sigma"])
+@pytest.mark.parametrize("p", sorted(_STREAM_CONFIGS))
+def test_deserialize_streams_bitwise(p, noise):
+    problem = _streamed_problem(p, noise)
+    blob = serialize(problem)
+    assert deserialize(blob) == problem
+    assert deserialize(blob.decode("ascii")) == problem
+    # Other layouts of the same document read back the same bits: pretty
+    # printed, and with sorted keys, which puts every array before config
+    # and version.
+    doc = json.loads(blob)
+    for text in (json.dumps(doc, indent=2), json.dumps(doc, sort_keys=True)):
+        assert deserialize(text) == problem
+    assert next(iter(json.loads(json.dumps(doc, sort_keys=True)))) == "C_blocks"
+
+
+def test_deserialize_refuses_a_repeated_key():
+    problem = _streamed_problem(6, noise=True)
+    text = serialize(problem).decode("ascii")
+    doc = json.loads(text)
+    sorted_text = json.dumps(doc, sort_keys=True)
+    again = {
+        "version": ('"version": 1', '"version": 1, "version": 1'),
+        "t": ('"t": ', '"t": 0.25, "t": '),
+        "a": ('"a": ', f'"a": {json.dumps(doc["a"])}, "a": '),
+        "C_blocks": ('"C_blocks": ', f'"C_blocks": {json.dumps(doc["C_blocks"])}, "C_blocks": '),
+    }
+    for key, (old, new) in again.items():
+        for base in (text, sorted_text):
+            assert base.count(old) == 1
+            with pytest.raises(ProblemFormatError, match="repeated field") as err:
+                deserialize(base.replace(old, new))
+            assert err.value.field == key
+
+
+def test_deserialize_truncated_file_names_the_root():
+    blob = serialize(_streamed_problem(300, noise=True))
+    doc = json.loads(blob)
+    for offset in np.random.default_rng(28).integers(0, len(blob), size=20).tolist():
+        with pytest.raises(ProblemFormatError) as err:
+            deserialize(blob[:offset])
+        assert err.value.field == "<root>", offset
+    # Inside the first coupling triple, after the config and a.
+    cut = blob.index(b'"C_blocks": ') + 300
+    with pytest.raises(ProblemFormatError, match="invalid JSON") as err:
+        deserialize(blob[:cut])
+    assert err.value.field == "<root>"
+    assert doc["C_blocks"][0][:2] == [0, 1]
+
+
+def test_deserialize_names_the_root_and_the_config():
+    for text in ("[]", "1", '"text"', "null", " [1, 2] "):
+        with pytest.raises(ProblemFormatError, match="expected a JSON object") as err:
+            deserialize(text)
+        assert err.value.field == "<root>"
+        assert str(err.value).endswith("(field: <root>)")
+    for config in (5, [], None, "config"):
+        with pytest.raises(ProblemFormatError, match="expected a JSON object") as err:
+            deserialize(json.dumps({"version": 1, "config": config}))
+        assert err.value.field == "config"
+        assert str(err.value).endswith("(field: config)")
+
+
+def test_deserialize_checks_version_and_config_first_then_document_order(small_config):
+    payload = serialize(generate(small_config))
+
+    def bad_a(doc):
+        doc["a"][0] = "x"
+
+    def bad_d_local(doc):
+        doc["D_local"][1] = [[1.0]]
+
+    def pair_triple(doc):
+        doc["C_blocks"][0].pop()
+
+    def bad_t(doc):
+        doc["t"] = "abc"
+
+    def not_psd_sigma(doc):
+        blocks = [np.eye(p).tolist() for p in doc["config"]["p_coupling"]]
+        blocks[0][0][0] = -1.0
+        doc["sigma_blocks"] = blocks
+
+    def bad_config(doc):
+        doc["config"]["coupling_strength"] = 1.5
+
+    def unknown(doc):
+        doc["comment"] = "hand-edited"
+
+    # One fault each: a file in another key order meets the same checks.
+    cases = [
+        (bad_a, "a"),
+        (bad_d_local, "D_local[1]"),
+        (pair_triple, "C_blocks"),
+        (bad_t, "t"),
+        (not_psd_sigma, "sigma_blocks"),
+        (bad_config, "config"),
+        (unknown, "comment"),
+    ]
+    for corrupt, field in cases:
+        doc = json.loads(payload)
+        corrupt(doc)
+        for text in (json.dumps(doc), json.dumps(doc, sort_keys=True, indent=1)):
+            with pytest.raises(ProblemFormatError) as err:
+                deserialize(text)
+            assert err.value.field == field, (corrupt.__name__, text[:20])
+
+    # Two faults: the first in document order is named. A syntax error after
+    # a malformed member no longer hides it.
+    doc = json.loads(payload)
+    bad_a(doc)
+    bad_t(doc)
+    for keys, field in ((list(doc), "a"), (["version", "config", "t", *doc], "t")):
+        text = json.dumps({k: doc[k] for k in keys})
+        with pytest.raises(ProblemFormatError) as err:
+            deserialize(text)
+        assert err.value.field == field
+        with pytest.raises(ProblemFormatError) as err:
+            deserialize(text[:-5])
+        assert err.value.field == field
+    # The version and then the config come first wherever they stand.
+    doc = json.loads(payload)
+    bad_a(doc)
+    bad_config(doc)
+    with pytest.raises(ProblemFormatError) as err:
+        deserialize(json.dumps(doc, sort_keys=True))
+    assert err.value.field == "config"
+    doc["version"] = 2
+    with pytest.raises(ProblemVersionError):
+        deserialize(json.dumps(doc, sort_keys=True))
+
+
+def test_deserialize_holds_one_block_of_floats():
+    # The text is decoded once (1 byte a character), then each block is
+    # converted before the next is decoded, so the peak is the text, the
+    # arrays and one block's floats: 1.41x the 2.0 MB file. Decoding the
+    # whole document first peaks at 2.96x, and decoding the whole C_blocks
+    # list (90 triples of 900 floats, most of the file) at 2.79x.
+    blob = serialize(_streamed_problem(300, noise=True))
+    deserialize(blob)
+    tracemalloc.start()
+    try:
+        deserialize(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(blob) > 1.5e6
+    assert peak <= 1.8 * len(blob)
+
+
 def test_uncertainty_model_validation():
     with pytest.raises(ValueError):
         UncertaintyModel((np.array([[1.0, 0.5], [0.0, 1.0]]),))
