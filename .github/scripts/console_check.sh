@@ -8,6 +8,9 @@ set -eo pipefail
 # sha256 of the file that the `generate` call below writes. Every CI job
 # checks it, so the file's bytes are the same on every supported stack.
 P_JSON_SHA256=47a68fb0dd072465964b5ae5e685ace668d28c8f3c1306eea9abf410b28cd55f
+# instance_digest of the problem in that file, which its benchmark report
+# records: the same bits give the same value on every stack.
+P_JSON_INSTANCE_DIGEST=bin1:feb3a3a8a59801e3f09204055b6e60449b8c84f2abf1d463524c4fa7e33d81a9
 
 cd "${RUNNER_TEMP:?RUNNER_TEMP must name a writable directory}"
 # Importing the package and its CLI loads no scipy module; scipy loads at
@@ -96,6 +99,15 @@ umdo-bench benchmark p.json --repetitions 1 --out report
 test -s report.json && test -s report.csv
 # solve-ref writes the same record as the report's reference block.
 python -c "import json; assert json.load(open('ref.json')) == json.load(open('report.json'))['reference']"
-# The report names the instance by the digest of the same file.
-python -c "import json, sys; assert json.load(open('report.json'))['problem_digest'] == sys.argv[1]" "$digest"
+# The report names the instance by its bits: the instance_digest of the
+# file, of its sorted copy and the pinned value; the file's sha256 is no
+# longer a report field.
+python -c "
+import json, sys, umdobench
+report = json.load(open('report.json'))
+digest = umdobench.instance_digest(umdobench.deserialize(open('p.json', 'rb').read()))
+assert report['instance_digest'] == digest == sys.argv[1]
+assert umdobench.instance_digest(umdobench.deserialize(open('sorted.json', 'rb').read())) == digest
+assert 'problem_digest' not in report
+" "$P_JSON_INSTANCE_DIGEST"
 echo "console script check passed"

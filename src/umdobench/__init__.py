@@ -19,6 +19,7 @@ from .problem import (
     assemble,
     deserialize,
     generate,
+    instance_digest,
     problem_digest,
     serialize,
     tune_feasibility,

@@ -41,7 +41,8 @@ from .problem import (
     UncertaintyModel,
     assemble,
     generate,
-    problem_digest,
+    instance_digest,
+    problem_digest,  # unused: perfbench's tracer wraps it here (tests/test_tracer_points.py)
     tune_feasibility,
 )
 from .qp import reduce_margin, solve_qp
@@ -148,14 +149,17 @@ class EstimatorSummary:
 class BenchmarkReport:
     """Full record of a benchmark: settings echo, reference, runs, aggregates.
 
-    ``environment`` names the library stack and machine that produced it:
-    the numpy and scipy versions, the BLAS each was built against (numpy and
-    scipy wheels bundle separate builds) and the BLAS/OpenMP thread
-    variables, on which the error metrics' last bits depend.
+    ``instance_digest`` names the scored instance by its bits
+    (:func:`~umdobench.problem.instance_digest`), so every copy of a file
+    that loads equal gives the same value. ``environment`` names the library
+    stack and machine that produced it: the numpy and scipy versions, the
+    BLAS each was built against (numpy and scipy wheels bundle separate
+    builds) and the BLAS/OpenMP thread variables, on which the error
+    metrics' last bits depend.
     """
 
     tool_version: str
-    problem_digest: str
+    instance_digest: str
     config: dict
     t: float
     statistic: dict
@@ -297,7 +301,7 @@ def run_benchmark(
 
     return BenchmarkReport(
         tool_version=__version__,
-        problem_digest=problem_digest(problem),
+        instance_digest=instance_digest(problem),
         config=_record(problem.config),
         t=float(problem.t),
         statistic=_record(spec),

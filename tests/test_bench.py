@@ -7,6 +7,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,14 @@ from umdobench.bench import (
 from umdobench.driver import OptimizerSettings, parse_estimator
 from umdobench.errors import InfeasibleReferenceError, NumericalError
 from umdobench.mda import MDASettings
-from umdobench.problem import BlockSystem, UncertaintyModel
+from umdobench.problem import (
+    BlockSystem,
+    ProblemConfig,
+    UncertaintyModel,
+    generate,
+    instance_digest,
+    tune_feasibility,
+)
 from umdobench.uq import StatisticSpec
 from conftest import non_contracting_copy
 
@@ -271,6 +279,23 @@ def test_one_variance_propagation_per_benchmark(monkeypatch):
     assert len(propagated) == 1
 
 
+def test_benchmark_formats_no_float(monkeypatch):
+    # The report names the instance by its bits: no float of the problem is
+    # formatted as text, which cost about 21 ms at p = 400.
+    config = ProblemConfig(3, 1, (2, 2, 2), (100, 100, 100), seed=5)
+    problem = generate(config)
+    problem.uncertainty = UncertaintyModel.isotropic(config.p_coupling, 0.01)
+    tune_feasibility(problem, quantile_seed=6)
+
+    def refuse(obj):
+        raise AssertionError("a float was formatted")
+
+    monkeypatch.setattr(problem_mod, "_pieces", refuse)
+    report = run_benchmark(problem, ("exact",), mda_settings=DIRECT)
+    assert not report.failures and len(report.runs) == 1
+    assert report.instance_digest == instance_digest(problem)
+
+
 _THREAD_PROBE = """
 import hashlib, json
 from umdobench import OptimizerSettings, serialize
@@ -373,7 +398,7 @@ def test_report_echoes_settings(report):
     assert payload["optimizer"] == {"method": "SLSQP", "max_iter": 40, "g_tol": 1e-4}
     assert payload["mda"]["method"] == "direct"
     assert payload["reference"]["status"] == "optimal"
-    assert len(payload["problem_digest"]) == 64
+    assert re.fullmatch("bin1:[0-9a-f]{64}", payload["instance_digest"])
     blocks = payload["sigma_blocks"]
     assert len(blocks) == 2 and np.allclose(blocks[0], 0.01 ** 2 * np.eye(3))
     assert payload["environment"] == {
@@ -395,7 +420,7 @@ def test_report_echoes_settings(report):
         "machine": platform.machine(),
     }
     assert list(payload) == [
-        "tool_version", "problem_digest", "config", "t", "statistic", "optimizer",
+        "tool_version", "instance_digest", "config", "t", "statistic", "optimizer",
         "mda", "sigma_blocks", "base_seed", "repetitions", "seeds", "reference",
         "runs", "estimators", "failures", "environment",
     ]

@@ -12,12 +12,22 @@ criterion 6's seed 70.
 
 A Taylor std computed without its square root fails every instance here,
 and a reference QP whose margin uses 1.25 kappa fails half of them.
+
+Taylor's error is pinned as an identity instead: under direct coupling
+solves its optimum is the reference's, and its ``df`` is ``E / f*``.
 """
 
 import pytest
 
-from umdobench.bench import run_benchmark
-from umdobench.problem import ProblemConfig, UncertaintyModel, generate, tune_feasibility
+from umdobench.bench import default_benchmark_problem, run_benchmark
+from umdobench.mda import MDASettings
+from umdobench.problem import (
+    ProblemConfig,
+    UncertaintyModel,
+    assemble,
+    generate,
+    tune_feasibility,
+)
 
 # (disciplines, outputs per discipline, coupling strength, seeds). The
 # strength-0.9 systems need the most coupling sweeps, so they get the
@@ -66,3 +76,20 @@ def test_estimator_pattern_holds_across_the_family(n, p_block, strength, seed):
     assert max(mc.mean_dx_pct, mc.mean_df_pct, mc.mean_dg_pct) <= 2.0
     assert min(mc.std_dx_pct, mc.std_df_pct, mc.std_dg_pct) > 0.0
     assert taylor.mean_dx_pct < mc.mean_dx_pct
+
+
+@pytest.mark.parametrize("seed, energy_pct", [(40, 0.1812), (45, 0.9349), (70, 0.0745)])
+def test_taylor_error_is_the_omitted_noise_energy(seed, energy_pct):
+    # The outputs are affine in the noise, so the Taylor margin problem has
+    # the reference's minimiser, and its objective misses exactly the noise
+    # energy E = sum(diag(P Sigma P')). With direct coupling solves nothing
+    # else separates the two: x lands within SLSQP's tolerance (ftol 1e-12 on
+    # the objective puts x within about 1e-6 relative), and df is E / f*.
+    problem = default_benchmark_problem(seed)
+    report = run_benchmark(problem, ("taylor",), mda_settings=MDASettings(method="direct"))
+    (run,) = report.runs
+    energy = assemble(problem).output_variance(problem.uncertainty.sigma).sum()
+    energy_over_f = 100.0 * energy / report.reference["f_star"]
+    assert round(energy_over_f, 4) == energy_pct
+    assert run.dx_pct <= 1e-4 and run.dg_pct <= 1e-4
+    assert run.df_pct == pytest.approx(energy_over_f, rel=0, abs=1e-8)

@@ -19,12 +19,13 @@ from umdobench import (
     assemble,
     deserialize,
     generate,
+    instance_digest,
     problem_digest,
     serialize,
     tune_feasibility,
 )
 from umdobench.qp import check_positive_definite, reduce_deterministic
-from umdobench.problem import _CHUNK as CHUNK, _MIN_KERNEL as MIN_KERNEL, _emit
+from umdobench.problem import _CHUNK as CHUNK, _MIN_KERNEL as MIN_KERNEL, _arrays, _emit
 from conftest import make_toy_problem
 from oracles import draw_reference_instance
 
@@ -527,6 +528,78 @@ def test_serialize_writes_one_buffer():
     assert len(blob) > 10**7
     assert peak < 1.3 * len(blob)
     assert hashlib.sha256(blob).hexdigest() == problem_digest(problem)
+
+
+# instance_digest of the `small_config` problem of GOLDEN_SMALL_DIGEST. It
+# hashes bits, not text, so a change of its scheme or a byte-order slip
+# changes it on any stack.
+GOLDEN_SMALL_INSTANCE_DIGEST = (
+    "bin1:14364e58cb2bf1a5008bdfc01a09ac93f8a413daa6d2c469dd4b77ae98492bb9"
+)
+
+
+def _small_tuned(config):
+    problem = generate(config)
+    tune_feasibility(problem)
+    problem.uncertainty = UncertaintyModel.isotropic(config.p_coupling, 0.01)
+    return problem
+
+
+def test_instance_digest_is_pinned_and_ignores_the_layout(small_config):
+    problem = _small_tuned(small_config)
+    digest = instance_digest(problem)
+    assert digest == GOLDEN_SMALL_INSTANCE_DIGEST
+    blob = serialize(problem)
+    document = json.loads(blob)
+    for copy in (blob, json.dumps(document, indent=2), json.dumps(document, sort_keys=True)):
+        assert instance_digest(deserialize(copy)) == digest
+    # The bits, not the memory layout: a Fortran-ordered copy is equal.
+    problem.C_blocks[(0, 1)] = np.asfortranarray(problem.C_blocks[(0, 1)])
+    assert instance_digest(problem) == digest
+    problem.a[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        instance_digest(problem)
+
+
+def _signed_zero_in_sigma(problem):
+    blocks = [b.copy() for b in problem.uncertainty.sigma_blocks]
+    blocks[1][0, 1] = -0.0
+    problem.uncertainty = UncertaintyModel(tuple(blocks))
+
+
+def _swap_coupling_keys(problem):
+    blocks = problem.C_blocks
+    blocks[(0, 1)], blocks[(1, 0)] = blocks[(1, 0)], blocks[(0, 1)]
+
+
+def _flip_last_bit(k):
+    def mutate(problem):
+        _arrays(problem)[k].reshape(-1).view(np.int64)[-1] ^= 1
+
+    return mutate
+
+
+# Each turns a copy into an unequal problem. The small problem has 9 arrays:
+# a, two D_shared, two D_local, two C_blocks and two sigma blocks.
+_MUTATIONS = {
+    **{f"array{k}": _flip_last_bit(k) for k in range(9)},
+    "sigma-negative-zero": _signed_zero_in_sigma,
+    "t": lambda p: setattr(p, "t", float(np.nextafter(p.t, np.inf))),
+    "no-noise": lambda p: setattr(p, "uncertainty", None),
+    "swapped-keys": _swap_coupling_keys,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_instance_digest_tells_every_unequal_problem(small_config, name):
+    problem = _small_tuned(small_config)
+    if name == "no-noise":  # against zero noise, not the 0.01 of the others
+        problem.uncertainty = UncertaintyModel.isotropic(small_config.p_coupling, 0.0)
+    mutant = deserialize(serialize(problem))
+    assert instance_digest(mutant) == instance_digest(problem)
+    _MUTATIONS[name](mutant)
+    assert mutant != problem
+    assert instance_digest(mutant) != instance_digest(problem)
 
 
 def test_negative_zero_roundtrips_bitwise(small_config):
