@@ -75,6 +75,15 @@ status=0
 umdo-bench solve-mdf big.json --estimator mc:20 2> big.err || status=$?
 test "$status" -eq 4
 test "$(wc -l < big.err)" -eq 1
+# A threshold scaled by 1e300 gives constraints that cannot bind on the unit
+# box: the reference QP's interior-point iterates overflow, so solve-ref
+# exits 4 with exactly one line on stderr, its error line.
+python -c "import json; d = json.load(open('p.json')); d['t'] *= 1e300; json.dump(d, open('t_big.json', 'w'))"
+status=0
+umdo-bench solve-ref t_big.json --statistic margin 2> t_big.err || status=$?
+test "$status" -eq 4
+test "$(wc -l < t_big.err)" -eq 1
+test "$(grep -c '^error:' t_big.err)" -eq 1
 # Coupling blocks at 1e300 leave the map finite but make the sweeps
 # diverge: both runs fail, quietly, and the report is still written.
 python -c "import json; d = json.load(open('p.json')); d['C_blocks'] = [[i, j, [[v * 1e300 for v in row] for row in b]] for i, j, b in d['C_blocks']]; json.dump(d, open('diverge.json', 'w'))"

@@ -2,9 +2,9 @@
 
 :func:`format_values` writes, for an array of finite doubles, the same text
 as ``format(x, ".17g")`` per value (with -0.0 as ``-0.0``), each value
-followed by the separator its code names, as ``umdobench.problem._SEPARATORS``
-lists them: 0 is ", " inside a row, 1 is "], [" at the end of a row, and 2 is
-nothing at the end of an array.
+followed by the separator its code names: 0 is ", " inside a row, 1 is
+"], [" at the end of a row, and 2 is nothing at the end of an array (or after
+a scalar). It writes every float of a problem or QP file.
 
 For a nonzero value x whose decimal exponent E lies in [-6, 16],
 |x| * 10**(16 - E) is formed exactly as a double-double: the power of ten is
@@ -29,9 +29,9 @@ bytearray; ANDing them with their masks in place turns every dropped
 character into NUL, which no text holds, and ``bytearray.translate`` deletes
 the NULs to give the text.
 
-:mod:`umdobench.problem` imports this module when a chunk of a file first
-needs it, so neither importing the package nor writing a small file
-compiles it.
+:mod:`umdobench.problem` imports this module when it first writes a file,
+so importing the package does not compile it. The first call builds the
+lookup tables, which takes a few milliseconds once per process.
 """
 
 from __future__ import annotations

@@ -266,6 +266,8 @@ class RobustEvaluator:
             f, g, self._cache_y, self.point_converged = self._evaluate_point(x)
             if not math.isfinite(f):
                 raise NumericalError("the objective is not finite: the coupled outputs diverged")
+            if not np.isfinite(g).all():
+                raise NumericalError("a constraint statistic is not finite")
             self._cache_value = f, g
             self._cache_key = key
             self.n_point_evals += 1

@@ -570,19 +570,11 @@ def tune_feasibility(
 # ``_CHUNK`` values, so the working set stays at about 1 MB (one chunk's kernel
 # temporaries) at any problem size. ``_emit`` writes the pieces into one buffer
 # for ``serialize`` and ``export_qp``, and ``problem_digest`` hashes them, one
-# at a time. A chunk is formatted by ``umdobench._floatfmt``, an exact numpy
-# kernel that writes the same text; a chunk of fewer than ``_MIN_KERNEL``
-# values (a whole small problem, or the tail of a larger one) takes one
-# ``%``-format instead, which at that size costs less than numpy's per-call
-# overhead, unless it holds a -0.0. Both sizes come from timing the two paths
-# on uniform values: the kernel's cost per value is lowest from about 4 096 to
-# 8 192 values per call and rises for larger chunks, and it undercut the
-# ``%``-format from about 250 values up (100 µs each at 250 values, 200
-# against 290 µs at 400). The kernel that skips zeros' digit arithmetic
-# undercuts it from about 200 values (93 against 105 µs at 250, 105 against
-# 175 µs at 400), so 256 is kept.
-# ``_floatfmt`` is imported when a chunk first needs it, so a process that
-# writes only small files never compiles it.
+# at a time. Every float, the scalars (``t``, the config floats, a QP's ``d0``)
+# as 0-d arrays among the others, is formatted by
+# ``umdobench._floatfmt.format_values``, an exact numpy kernel that writes that
+# text. ``_floatfmt`` is imported when a file's first chunk needs it, so
+# importing the package never compiles it.
 #
 # ``deserialize`` reads a file with json's own C scanner one top-level member
 # at a time, and a block list (``D_shared``, ``D_local``, ``C_blocks``,
@@ -595,12 +587,6 @@ def tune_feasibility(
 # config is decoded whole and held until the config is read.
 
 _CHUNK = 4096
-_MIN_KERNEL = 256
-
-# The separator after a value of a 1-D or 2-D array: inside a row, at the end
-# of a row, and at the end of the array (whose closing brackets are literal
-# text). ``_floatfmt`` lays out the same three by their index.
-_SEPARATORS = (", ", "], [", "")
 
 
 def _separators(arr, lo, hi):
@@ -614,21 +600,11 @@ def _separators(arr, lo, hi):
     return seps
 
 
-_PERCENT = tuple("%.17g" + sep for sep in _SEPARATORS)
-
-
 def _format_chunk(chunk):
     """Yield the text of ``(literal, values, separators)`` segments, in order."""
-    values = np.concatenate([v for _, v, _ in chunk])
-    if values.size < _MIN_KERNEL and not np.signbit(values[values == 0.0]).any():
-        template = "".join(
-            literal.replace("%", "%%") + "".join([_PERCENT[s] for s in seps.tolist()])
-            for literal, _, seps in chunk
-        )
-        yield (template % tuple(values.tolist())).encode("ascii")
-        return
-    from ._floatfmt import format_values  # compiled when a chunk first needs it
+    from ._floatfmt import format_values  # compiled when a file first needs it
 
+    values = np.concatenate([v for _, v, _ in chunk])
     text, ends = format_values(values, np.concatenate([s for _, _, s in chunk]))
     text = memoryview(text)  # slices without copies
     start = stop = 0
@@ -639,18 +615,10 @@ def _format_chunk(chunk):
         start = ends[stop - 1]
 
 
-def _fmt_float(x) -> str:
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError("cannot serialize non-finite value")
-    text = format(x, ".17g")
-    return "-0.0" if text == "-0" else text
-
-
 def _tokens(obj, out):
     """Append the JSON text of ``obj`` to ``out`` as literal strings, and as
     the float arrays of at most two dimensions whose values, with the
-    separators between them, are still to be formatted."""
+    separators between them (a float scalar as a 0-d one), to be formatted."""
     if isinstance(obj, np.ndarray):
         arr = np.asarray(obj, dtype=float)
         if not np.isfinite(arr).all():
@@ -677,7 +645,7 @@ def _tokens(obj, out):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(obj))
+        _tokens(np.array(obj, dtype=float), out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -752,7 +720,7 @@ class _Scanner:
     syntax errors, and json's, are ProblemFormatErrors naming ``<root>``."""
 
     def __init__(self, text: str):
-        self.text, self.pos = text, 0
+        self.text, self.pos, self.start = text, 0, 0
 
     def peek(self) -> str:
         """The next character after whitespace, or '' at the end."""
@@ -767,6 +735,7 @@ class _Scanner:
     def value(self):
         """The next value, decoded whole."""
         self.peek()
+        self.start = self.pos
         # json's errors are ValueErrors, as is the error for an integer
         # longer than Python's int-to-str digit limit.
         try:
@@ -774,6 +743,11 @@ class _Scanner:
         except (ValueError, RecursionError) as exc:
             raise _invalid(exc) from exc
         return value
+
+    def plain(self) -> bool:
+        """Whether the text of the value read last holds no '"', 't', 'f' or
+        'n': no JSON number has one, and strings, true, false and null do."""
+        return all(self.text.find(c, self.start, self.pos) < 0 for c in '"tfn')
 
     def array(self):
         """The next value: if it is an array, a generator that decodes its
@@ -845,7 +819,11 @@ def _as_float(value, path):
     return value
 
 
-def _as_array(value, shape, path):
+def _as_array(value, shape, path, plain):
+    # numpy would read "0.5" as 0.5 and true as 1.0; a plain text holds no
+    # string, true, false or null (see _Scanner.plain).
+    if not plain and any(word in json.dumps(value) for word in ('"', "true", "false", "null")):
+        raise ProblemFormatError("expected numbers, got a string, true, false or null", field=path)
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -899,7 +877,7 @@ def _as_config(value) -> ProblemConfig:
         raise ProblemFormatError(f"invalid config: {exc}", field="config") from exc
 
 
-def _as_block_list(elements, shapes, path):
+def _as_block_list(elements, shapes, path, plain):
     """One array per element of ``elements``, each converted as it arrives.
     A streamed list is decoded a block at a time, so only one block's
     Python floats exist at once."""
@@ -911,14 +889,14 @@ def _as_block_list(elements, shapes, path):
         k = len(blocks)
         if k == len(shapes):
             raise ProblemFormatError(wrong_count, field=path)
-        blocks.append(_as_array(block, shapes[k], f"{path}[{k}]"))
+        blocks.append(_as_array(block, shapes[k], f"{path}[{k}]", plain()))
         del block  # freed before the next block is decoded
     if len(blocks) != len(shapes):
         raise ProblemFormatError(wrong_count, field=path)
     return tuple(blocks)
 
 
-def _as_coupling_blocks(elements, config):
+def _as_coupling_blocks(elements, config, plain):
     if not _is_array(elements):
         raise ProblemFormatError("expected a list of [i, j, matrix] triples", field="C_blocks")
     n = config.n_disciplines
@@ -935,6 +913,7 @@ def _as_coupling_blocks(elements, config):
             entry[2],
             (config.p_coupling[i], config.p_coupling[j]),
             f"C_blocks[{i},{j}]",
+            plain(),
         )
         del entry  # freed before the next triple is decoded
     expected_blocks = n * (n - 1)
@@ -946,11 +925,11 @@ def _as_coupling_blocks(elements, config):
     return blocks
 
 
-def _as_uncertainty(elements, config):
+def _as_uncertainty(elements, config, plain):
     if elements is None:
         return None
     shapes = [(p, p) for p in config.p_coupling]
-    blocks = _as_block_list(elements, shapes, "sigma_blocks")
+    blocks = _as_block_list(elements, shapes, "sigma_blocks", plain)
     try:
         return UncertaintyModel(sigma_blocks=blocks)
     except ValueError as exc:
@@ -958,19 +937,20 @@ def _as_uncertainty(elements, config):
 
 
 # How deserialize reads every top-level member but the version and the
-# config, in the order _document writes them, each given its value and the
-# checked config. The block lists stream: their value is a generator of
+# config, in the order _document writes them, each given its value, the
+# checked config and ``plain()``, whether the text of the value or block
+# read last is plain. The block lists stream: their value is a generator of
 # decoded blocks when the member is read after the config.
 _MEMBERS = {
-    "a": lambda value, config: _as_array(value, (config.p,), "a"),
-    "D_shared": lambda value, config: _as_block_list(
-        value, [(p, config.d_shared) for p in config.p_coupling], "D_shared"
+    "a": lambda value, config, plain: _as_array(value, (config.p,), "a", plain()),
+    "D_shared": lambda value, config, plain: _as_block_list(
+        value, [(p, config.d_shared) for p in config.p_coupling], "D_shared", plain
     ),
-    "D_local": lambda value, config: _as_block_list(
-        value, list(zip(config.p_coupling, config.d_local)), "D_local"
+    "D_local": lambda value, config, plain: _as_block_list(
+        value, list(zip(config.p_coupling, config.d_local)), "D_local", plain
     ),
     "C_blocks": _as_coupling_blocks,
-    "t": lambda value, config: _as_float(value, "t"),
+    "t": lambda value, config, plain: _as_float(value, "t"),
     "sigma_blocks": _as_uncertainty,
 }
 _STREAMED = ("D_shared", "D_local", "C_blocks", "sigma_blocks")
@@ -986,9 +966,9 @@ def deserialize(data: bytes | str) -> ScalableProblem:
     """Parse problem bytes written by :func:`serialize`.
 
     Integer fields (the version, the config integers and the block indices)
-    must be JSON integers, and the threshold and config floats JSON numbers;
-    booleans are neither. Array elements are read by ``numpy``. Every float
-    must be finite: ``json`` reads the tokens ``NaN`` and ``Infinity``, which
+    must be JSON integers, and the threshold, the config floats and every
+    array element JSON numbers; booleans are neither. Every float must be
+    finite: ``json`` reads the tokens ``NaN`` and ``Infinity``, which
     :func:`serialize` never writes.
 
     How a file is read: the text is decoded whole, then its top-level object
@@ -1039,15 +1019,16 @@ def deserialize(data: bytes | str) -> ScalableProblem:
         if key == "version":
             version = _as_version(scanner.value())
         elif config is None:
-            held[key] = scanner.value()
+            held[key] = scanner.value(), scanner.plain()
         else:
-            convert = _member(key)
-            members[key] = convert(scanner.array() if key in _STREAMED else scanner.value(), config)
+            value = scanner.array() if key in _STREAMED else scanner.value()
+            members[key] = _member(key)(value, config, scanner.plain)
         if version is not None and config is None and "config" in held:
-            config = _as_config(held.pop("config"))
+            config = _as_config(held.pop("config")[0])
         if config is not None:
             for k in list(held):
-                members[k] = _member(k)(held.pop(k), config)
+                value, plain = held.pop(k)
+                members[k] = _member(k)(value, config, lambda plain=plain: plain)
     for key, found in (("version", version), ("config", config)):
         if found is None:
             raise ProblemFormatError("missing required field", field=key)

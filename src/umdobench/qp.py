@@ -207,14 +207,15 @@ def solve_qp(qp: QPData, tol: float = 1e-9) -> QPSolution:
     central path; each iteration factors the dense normal matrix
     ``Q + G' W G`` (always positive definite thanks to the box rows) and
     takes a Mehrotra predictor plus corrector step with a 0.995
-    fraction-to-boundary rule. Convergence is declared when the maximum of
-    the stationarity, primal-feasibility and complementarity residuals drops
-    below ``tol``, within at most 100 iterations (``status="max_iter"``
-    otherwise).
+    fraction-to-boundary rule. Convergence is declared when the stationarity
+    and primal-feasibility residuals drop below ``tol`` times the largest of
+    1 and ``|c|`` or ``|h|``, and the complementarity below ``1e-3 * tol``,
+    within at most 100 iterations (``status="max_iter"`` otherwise).
 
     Primal infeasibility is recognized through a Farkas certificate carried
     by the diverging duals (``G'z ~ 0`` with ``h'z < 0``) and reported as
-    ``status="infeasible"`` rather than raised.
+    ``status="infeasible"`` rather than raised. An overflow or invalid
+    operation in an iteration raises :class:`~umdobench.errors.NumericalError`.
     """
     import scipy.linalg
 
@@ -239,58 +240,68 @@ def solve_qp(qp: QPData, tol: float = 1e-9) -> QPSolution:
     # the smallest curvature, so complementarity is pushed three decades
     # below the KKT tolerance; Mehrotra steps make that 1-2 extra iterations.
     mu_target = 1e-3 * tol
-    for iterations in range(1, _MAX_ITER + 1):
-        r_d, r_p, mu = residuals(x, s, z)
-        feas = max(float(np.abs(r_d).max()), float(np.abs(r_p).max()))
-        kkt = max(feas, float(mu))
-        if feas <= tol and mu <= mu_target:
-            status = "optimal"
-            break
+    # Relative to the data: at |c| ~ 500 the stationarity residual can stall
+    # near 2e-9 as the normal matrix degrades.
+    dual_tol = tol * max(1.0, float(np.abs(c).max()))
+    primal_tol = tol * max(1.0, float(np.abs(h).max()))
+    # Data spanning hundreds of decades (a threshold at 1e300) overflows the
+    # iterates; trapping that moves no bit of a healthy solve.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for iterations in range(1, _MAX_ITER + 1):
+                r_d, r_p, mu = residuals(x, s, z)
+                dual, primal = float(np.abs(r_d).max()), float(np.abs(r_p).max())
+                kkt = max(dual, primal, float(mu))
+                if dual <= dual_tol and primal <= primal_tol and mu <= mu_target:
+                    status = "optimal"
+                    break
 
-        # Farkas certificate for an empty feasible set: a nonnegative dual
-        # combination of the rows vanishing while the right-hand side
-        # combination is negative.
-        z_scale = float(z.sum())
-        if z_scale > 1e8:
-            zn = z / z_scale
-            if h @ zn < -1e-10 and np.abs(G.T @ zn).max() <= 1e-8 * (-(h @ zn)):
-                status = "infeasible"
-                break
+                # Farkas certificate for an empty feasible set: a nonnegative dual
+                # combination of the rows vanishing while the right-hand side
+                # combination is negative.
+                z_scale = float(z.sum())
+                if z_scale > 1e8:
+                    zn = z / z_scale
+                    if h @ zn < -1e-10 and np.abs(G.T @ zn).max() <= 1e-8 * (-(h @ zn)):
+                        status = "infeasible"
+                        break
 
-        w = z / np.maximum(s, 1e-300)
-        M = Q + (G.T * w) @ G
-        try:
-            chol = scipy.linalg.cho_factor(M, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            M = M + 1e-12 * max(1.0, np.trace(M)) * np.eye(d)
-            chol = scipy.linalg.cho_factor(M, check_finite=False)
+                w = z / np.maximum(s, 1e-300)
+                M = Q + (G.T * w) @ G
+                try:
+                    chol = scipy.linalg.cho_factor(M, check_finite=False)
+                except scipy.linalg.LinAlgError:
+                    M = M + 1e-12 * max(1.0, np.trace(M)) * np.eye(d)
+                    chol = scipy.linalg.cho_factor(M, check_finite=False)
 
-        def newton_step(r_c):
-            rhs = -r_d - G.T @ ((z * r_p - r_c) / s)
-            dx = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
-            ds = -r_p - G @ dx
-            dz = -(r_c + z * ds) / s
-            return dx, ds, dz
+                def newton_step(r_c):
+                    rhs = -r_d - G.T @ ((z * r_p - r_c) / s)
+                    dx = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
+                    ds = -r_p - G @ dx
+                    dz = -(r_c + z * ds) / s
+                    return dx, ds, dz
 
-        def max_step(v, dv):
-            neg = dv < 0
-            if not np.any(neg):
-                return 1.0
-            return min(1.0, float(np.min(-v[neg] / dv[neg])))
+                def max_step(v, dv):
+                    neg = dv < 0
+                    if not np.any(neg):
+                        return 1.0
+                    return min(1.0, float(np.min(-v[neg] / dv[neg])))
 
-        # Predictor (affine scaling) step.
-        dx_a, ds_a, dz_a = newton_step(s * z)
-        alpha_a = min(max_step(s, ds_a), max_step(z, dz_a))
-        mu_aff = (s + alpha_a * ds_a) @ (z + alpha_a * dz_a) / m
-        sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
+                # Predictor (affine scaling) step.
+                dx_a, ds_a, dz_a = newton_step(s * z)
+                alpha_a = min(max_step(s, ds_a), max_step(z, dz_a))
+                mu_aff = (s + alpha_a * ds_a) @ (z + alpha_a * dz_a) / m
+                sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
-        # Corrector step re-using the factorization.
-        dx, ds, dz = newton_step(s * z + ds_a * dz_a - sigma * mu)
-        alpha = 0.995 * min(max_step(s, ds), max_step(z, dz))
+                # Corrector step re-using the factorization.
+                dx, ds, dz = newton_step(s * z + ds_a * dz_a - sigma * mu)
+                alpha = 0.995 * min(max_step(s, ds), max_step(z, dz))
 
-        x = x + alpha * dx
-        s = s + alpha * ds
-        z = z + alpha * dz
+                x = x + alpha * dx
+                s = s + alpha * ds
+                z = z + alpha * dz
+    except FloatingPointError as exc:
+        raise NumericalError(f"the interior-point iteration broke down: {exc}") from exc
 
     return QPSolution(
         x_star=x,

@@ -160,7 +160,8 @@ def mc_estimate(values) -> StatEstimate:
             f"only {len(values)} of {m} realizations converged; cannot estimate"
         )
     mean = values.mean(axis=0)
-    std = values.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf where outputs are huge
+        std = values.std(axis=0, ddof=1)
     return StatEstimate(mean=mean, std=std, value=mean.copy(), n_failed=m - len(values))
 
 

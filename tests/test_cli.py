@@ -547,6 +547,40 @@ def test_diverging_coupling_sweeps_fail_without_warnings(problem_path, tmp_path,
     assert [f["estimator"] for f in report["failures"]] == ["mc:10", "taylor"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        pytest.param(["solve-ref", "--statistic", "margin"], 4, id="solve-ref"),
+        pytest.param(["benchmark", "--repetitions", "1", "--out", "R"], 4, id="benchmark"),
+        pytest.param(["solve-mdf", "--estimator", "mc:20"], 4, id="solve-mdf-mc"),
+        pytest.param(["solve-mdf", "--estimator", "taylor"], 0, id="solve-mdf-taylor"),
+        pytest.param(["export-qp", "--out", "R"], 0, id="export-qp"),
+        pytest.param(["tune", "--out", "R"], 0, id="tune"),
+    ],
+)
+def test_threshold_at_1e300_fails_with_one_error_line(problem_path, tmp_path, capsys, command, code):
+    # The constraints cannot bind on the unit box. The reference QP's
+    # interior-point iterates overflow, and a Monte-Carlo constraint std
+    # overflows: each is one error line, with no numpy warning (warnings are
+    # errors here). Taylor's closed-form std is finite, so solve-mdf succeeds.
+    doc = json.loads(problem_path.read_bytes())
+    doc["t"] *= 1e300
+    path = tmp_path / "t_1e300.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command[0], str(path)] + [str(out) if a == "R" else a for a in command[1:]]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "not finite" in captured.err or "broke down" in captured.err
+        assert list(tmp_path.iterdir()) == [path]
+
+
 def test_solve_mdf_records_the_label_it_ran(problem_path, capsys):
     argv = ["solve-mdf", str(problem_path), "--estimator", "mc:20", "--max-iter", "3"]
     assert main(argv) == 0
@@ -591,10 +625,10 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mutated_files_meet_documented_exit_codes(problem_path, tmp_path, capsys):
     # Every file command on every mutant exits 0, 2, 3 or 4 without a
-    # traceback, and on success its JSON output parses as strict JSON (no
+    # traceback or a numpy warning, and on success its JSON output parses as strict JSON (no
     # NaN or Infinity): stdout for tune, solve-ref and solve-mdf, the written
     # file for export-qp and benchmark.
     # Sample sizes in full-width digits are among the estimator labels.

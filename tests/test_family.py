@@ -15,8 +15,15 @@ and a reference QP whose margin uses 1.25 kappa fails half of them.
 
 Taylor's error is pinned as an identity instead: under direct coupling
 solves its optimum is the reference's, and its ``df`` is ``E / f*``.
+
+Beyond these fixed shapes, a seeded sweep draws 300 configurations over the
+whole family and checks the file round trip, the reference and the identity
+on each, in absolute terms.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from umdobench.bench import default_benchmark_problem, run_benchmark
@@ -25,9 +32,14 @@ from umdobench.problem import (
     ProblemConfig,
     UncertaintyModel,
     assemble,
+    deserialize,
     generate,
+    instance_digest,
+    problem_digest,
+    serialize,
     tune_feasibility,
 )
+from umdobench.uq import StatisticSpec
 
 # (disciplines, outputs per discipline, coupling strength, seeds). The
 # strength-0.9 systems need the most coupling sweeps, so they get the
@@ -93,3 +105,82 @@ def test_taylor_error_is_the_omitted_noise_energy(seed, energy_pct):
     assert round(energy_over_f, 4) == energy_pct
     assert run.dx_pct <= 1e-4 and run.dg_pct <= 1e-4
     assert run.df_pct == pytest.approx(energy_over_f, rel=0, abs=1e-8)
+
+
+def _drawn_instance(rng, quantile_seed):
+    """One configuration drawn over the family's ranges: 1-4 disciplines,
+    1-3 shared and 1-3 local variables each, ``d_local[i]``-6 outputs each,
+    coupling strength 0.05-0.99, feasibility level 0.05-0.95, isotropic noise
+    sigma in {0, 0.001, 0.01, 0.05, 0.1}; and a margin kappa in [0, 3]."""
+    n = int(rng.integers(1, 5))
+    d_local = tuple(int(v) for v in rng.integers(1, 4, size=n))
+    config = ProblemConfig(
+        n_disciplines=n,
+        d_shared=int(rng.integers(1, 4)),
+        d_local=d_local,
+        p_coupling=tuple(int(rng.integers(d, 7)) for d in d_local),
+        coupling_strength=float(rng.uniform(0.05, 0.99)),
+        feasibility_level=float(rng.uniform(0.05, 0.95)),
+        seed=int(rng.integers(2**31)),
+    )
+    sigma = float(rng.choice([0.0, 0.001, 0.01, 0.05, 0.1]))
+    kappa = float(rng.uniform(0.0, 3.0))
+    problem = generate(config)
+    problem.uncertainty = UncertaintyModel.isotropic(config.p_coupling, sigma)
+    tune_feasibility(problem, n_samples=2000, quantile_seed=quantile_seed)
+    return problem, kappa
+
+
+# Absolute tolerances of the drawn sweep, each with the largest deviation the
+# 300 draws of seed 12345 reach (one BLAS thread, numpy 2.4, scipy 1.17).
+# SLSQP stops on an objective change of 1e-12, which leaves x within about
+# sqrt(1e-12) = 1e-6 of the optimum where the curvature is O(1), more where
+# it is small.
+_X_TOL = 2e-5  # ||x - x*||: reached 4.1e-6, exact and taylor alike
+_F_TOL = 1e-9  # | |f - f*| - E |, taylor: reached 3.5e-11
+_G_TOL = 1e-5  # ||g - g*||, taylor: reached 6.7e-7
+
+
+def test_drawn_configurations_round_trip_and_meet_the_reference():
+    # Files of every drawn shape, including n = 1, p = 1 files, round-trip
+    # bit for bit, and problem_digest is the file's sha256. Every reference
+    # QP is optimal (draw 299 has |c| near 530, where an absolute 1e-9
+    # stopping test on the stationarity residual was never met) and no run
+    # fails. exact's optimum is the reference's, and so is Taylor's under
+    # direct coupling solves, whose objective misses exactly the noise
+    # energy E. At other seeds a draw with sigma = 0.1, a margin near 3 and a
+    # feasibility level near 0.05 can make the margin problem infeasible (an
+    # LP agrees), which run_benchmark reports as InfeasibleReferenceError.
+    rng = np.random.default_rng(12345)
+    single_output = 0
+    for k in range(300):
+        problem, kappa = _drawn_instance(rng, k)
+        config = problem.config
+        context = f"draw {k}: {config}, kappa {kappa}"
+        single_output += config.p == 1
+        blob = serialize(problem)
+        restored = deserialize(blob)
+        assert restored == problem, context
+        assert instance_digest(restored) == instance_digest(problem), context
+        assert problem_digest(problem) == hashlib.sha256(blob).hexdigest(), context
+
+        report = run_benchmark(
+            problem,
+            ("exact", "taylor"),
+            spec=StatisticSpec(constraint_stat="margin", kappa=kappa),
+            mda_settings=MDASettings(method="direct"),
+        )
+        assert not report.failures, context
+        reference = report.reference
+        assert reference["status"] == "optimal", context
+        x_norm = np.linalg.norm(reference["x_star"])
+        g_norm = np.linalg.norm(reference["g_star"])
+        runs = {run.estimator: run for run in report.runs}
+        energy = assemble(problem).output_variance(problem.uncertainty.sigma).sum()
+        for label in ("exact", "taylor"):
+            assert runs[label].dx_pct / 100.0 * x_norm <= _X_TOL, (label, context)
+        taylor = runs["taylor"]
+        f_gap = taylor.df_pct / 100.0 * abs(reference["f_star"])
+        assert abs(f_gap - energy) <= _F_TOL, context
+        assert taylor.dg_pct / 100.0 * g_norm <= _G_TOL, context
+    assert single_output >= 3  # 5 of the 300 draws

@@ -79,16 +79,16 @@ def test_scipy_linalg_loads_at_the_first_factorization():
 
 def test_import_defers_the_array_formatter():
     # Without cached bytecode, compiling umdobench._floatfmt costs a few ms
-    # and about 1 MiB of peak memory; only a file with a chunk of
-    # _MIN_KERNEL values or more needs it, and the p = 6 problems never do.
+    # and about 1 MiB of peak memory. Importing the package and its CLI, and
+    # building a problem, never need it; the first file written does, as it
+    # writes every float of every file.
     probe = (
-        "import sys, numpy, umdobench, umdobench.cli\n"
-        "from umdobench.problem import _MIN_KERNEL, _emit\n"
+        "import sys, umdobench, umdobench.cli\n"
         "loaded = lambda: 'umdobench._floatfmt' in sys.modules\n"
         "states = [loaded()]\n"
-        "umdobench.problem_digest(umdobench.default_benchmark_problem())\n"
+        "problem = umdobench.default_benchmark_problem()\n"
         "states.append(loaded())\n"
-        "_emit(numpy.arange(float(_MIN_KERNEL)))\n"
+        "umdobench.serialize(problem)\n"
         "print(*states, loaded())"
     )
     assert _run(probe).split() == ["False", "False", "True"]

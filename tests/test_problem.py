@@ -24,8 +24,8 @@ from umdobench import (
     serialize,
     tune_feasibility,
 )
-from umdobench.qp import check_positive_definite, reduce_deterministic
-from umdobench.problem import _CHUNK as CHUNK, _MIN_KERNEL as MIN_KERNEL, _arrays, _emit
+from umdobench.qp import QPData, check_positive_definite, export_qp, reduce_deterministic
+from umdobench.problem import _CHUNK as CHUNK, _arrays, _emit
 from conftest import make_toy_problem
 from oracles import draw_reference_instance
 
@@ -363,6 +363,39 @@ def _per_element(arr):
     return "[" + ", ".join(_per_element(row) for row in arr) + "]"
 
 
+_SCALARS = (
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 1e-5, 0.1, 1.0 / 3.0,
+    -0.85163761239293861, 1e16, 1e17, -1e17, 123456789012345680.0, 1.7976931348623157e308,
+)
+
+
+def _same_bits(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+def test_scalar_floats_are_written_as_17_significant_digits(small_config):
+    # The scalars of a file, t and the config floats of a problem file and
+    # d0 of a QP file, are written as format(x, ".17g") (-0.0 as "-0.0"), as
+    # array values are, and read back bit for bit.
+    problem = generate(small_config)
+    for x in _SCALARS:
+        problem.t = x
+        text = serialize(problem).decode("ascii")
+        assert f'"t": {_format_one(x)}, "sigma_blocks"' in text, x
+        assert _same_bits(deserialize(text).t, x), x
+        qp = QPData(Q=np.eye(1), c=np.zeros(1), d0=x, A=np.zeros((0, 1)), b=np.zeros(0))
+        text = export_qp(qp).decode("ascii")
+        assert f'"d0": {_format_one(x)}, "A"' in text, x
+        assert _same_bits(json.loads(text)["d0"], x), x
+    for x in (5e-324, 2.2250738585072014e-308, 1e-7, 0.1, 1.0 / 3.0, 0.99):
+        config = dataclasses.replace(small_config, coupling_strength=x)
+        text = serialize(generate(config)).decode("ascii")
+        assert f'"coupling_strength": {_format_one(x)}, ' in text, x
+        assert _same_bits(deserialize(text).config.coupling_strength, x), x
+    assert _format_one(-0.0) == "-0.0" and _format_one(5e-324) == "4.9406564584124654e-324"
+    assert _format_one(1e17) == "1e+17"
+
+
 def test_array_format_matches_per_element_format():
     special = np.array([
         -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1.0 / 3.0,
@@ -427,7 +460,7 @@ def _assert_same_text(got, want):
 
 @pytest.mark.parametrize(
     "size",
-    [2, MIN_KERNEL - 1, MIN_KERNEL, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + MIN_KERNEL // 2],
+    [1, 2, 255, 256, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 128],
 )
 def test_array_kernel_matches_per_element_format(size):
     values = _kernel_inputs()
@@ -436,15 +469,12 @@ def test_array_kernel_matches_per_element_format(size):
     iso = (1e-4 * np.eye(100)).ravel()
     iso[np.random.default_rng(26).random(iso.size) < 0.02] *= -1.0
     assert np.count_nonzero(iso) == 100
-    # The head starts with 0.0 and -0.0, so every chunk of it takes the
-    # kernel; the tail holds no zero, and its chunks below MIN_KERNEL values
-    # take the %-format, as do the other parts below that size that hold no
-    # -0.0.
+    # The head starts with 0.0 and -0.0; the tail holds no zero.
     parts = (values[:size], values[-size:], iso[:size], np.zeros(size), np.full(size, -0.0))
     for part in parts:
         _assert_same_text(_emit(part).decode("ascii"), _per_element(part))
         # The same values cut into arrays of the shapes serialize writes, so
-        # that full chunks and the %-format tail cross arrays.
+        # that full chunks and the short last chunk cross arrays.
         r = size // 7
         cut = 2 * r + (size - 2 * r) // 5 * 5
         doc = [
@@ -716,6 +746,23 @@ def test_deserialize_rejects_bad_inputs(small_config):
         blocks[0][0][0] = -1.0
         doc["sigma_blocks"] = blocks
 
+    def set_element(field, value):
+        # A string, true, false or null among an array's numbers; numpy
+        # would read "0.5" as 0.5, true as 1.0 and null as NaN.
+        def corrupt(doc):
+            if field == "a":
+                doc["a"][1] = value
+            elif field == "D_shared[0]":
+                doc["D_shared"][0] = [[value] for _ in doc["D_shared"][0]]
+            elif field == "C_blocks[0,1]":
+                doc["C_blocks"][0][2][-1][-1] = value
+            else:
+                blocks = [np.eye(p).tolist() for p in doc["config"]["p_coupling"]]
+                blocks[1][0][1] = value
+                doc["sigma_blocks"] = blocks
+
+        return corrupt
+
     cases = [
         (non_numeric_a, "a"),
         (lambda doc: doc.update(t="abc"), "t"),
@@ -751,13 +798,22 @@ def test_deserialize_rejects_bad_inputs(small_config):
         (set_config("coupling_strength", 0.995), "config"),
         (not_psd_sigma_block, "sigma_blocks"),
         (lambda doc: doc.update(comment="hand-edited"), "comment"),
+        (set_element("a", "0.5"), "a"),
+        (set_element("a", True), "a"),
+        (set_element("D_shared[0]", "0.25"), "D_shared[0]"),
+        (set_element("C_blocks[0,1]", False), "C_blocks[0,1]"),
+        (set_element("sigma_blocks[1]", None), "sigma_blocks[1]"),
+        (set_element("sigma_blocks[1]", "0"), "sigma_blocks[1]"),
     ]
     for corrupt, field in cases:
         doc = json.loads(payload)
         corrupt(doc)
-        with pytest.raises(ProblemFormatError) as err:
-            deserialize(json.dumps(doc))
-        assert err.value.field == field
+        # In the order serialize writes, the arrays stream after the config;
+        # with sorted keys, the arrays before it are decoded whole and held.
+        for sort_keys in (False, True):
+            with pytest.raises(ProblemFormatError) as err:
+                deserialize(json.dumps(doc, sort_keys=sort_keys))
+            assert err.value.field == field, (field, sort_keys)
 
     # Every block is present, and (0, 1) is listed a second time with another
     # matrix; the later one must not silently replace the first.
