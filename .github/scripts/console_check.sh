@@ -13,6 +13,10 @@ P_JSON_SHA256=47a68fb0dd072465964b5ae5e685ace668d28c8f3c1306eea9abf410b28cd55f
 P_JSON_INSTANCE_DIGEST=bin1:feb3a3a8a59801e3f09204055b6e60449b8c84f2abf1d463524c4fa7e33d81a9
 
 cd "${RUNNER_TEMP:?RUNNER_TEMP must name a writable directory}"
+# The module entry point that README documents runs the same CLI.
+version=$(umdo-bench --version)
+test "$version" = "umdo-bench $(python -c 'import umdobench; print(umdobench.__version__)')"
+test "$(python -m umdobench.cli --version)" = "$version"
 # Importing the package and its CLI loads no scipy module; scipy loads at
 # the first factorization.
 python -c "import sys, umdobench, umdobench.cli; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"

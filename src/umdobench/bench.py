@@ -39,6 +39,7 @@ from .mda import MDASettings
 from .problem import (
     ProblemConfig,
     UncertaintyModel,
+    _integer,
     assemble,
     generate,
     instance_digest,
@@ -187,9 +188,7 @@ class BenchmarkReport:
 def _execute_run(system, t, sigma, spec, optimizer, mda_settings, reference, label, rep, seed):
     """Run one estimator repetition; never raises (failures are reported)."""
     try:
-        evaluator = RobustEvaluator(
-            system, t, sigma, spec, label, seed=seed, mda_settings=mda_settings
-        )
+        evaluator = RobustEvaluator(system, t, sigma, spec, label, seed, mda_settings)
         run = optimize(evaluator, optimizer)
         dx, df, dg = percent_errors(run, reference)
         return BenchmarkRun(
@@ -227,10 +226,10 @@ def run_benchmark(
     problem,
     estimators=("mc:200", "taylor"),
     repetitions: int = 20,
-    spec: StatisticSpec | None = None,
+    spec: StatisticSpec = StatisticSpec(),
     sigma=None,
-    optimizer: OptimizerSettings | None = None,
-    mda_settings: MDASettings | None = None,
+    optimizer: OptimizerSettings = OptimizerSettings(),
+    mda_settings: MDASettings = MDASettings(),
     base_seed: int = 1000,
     workers: int = 1,
 ) -> BenchmarkReport:
@@ -247,16 +246,11 @@ def run_benchmark(
     ``min(workers, runs)`` processes, serially when that is one; results do
     not depend on the pool size.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    repetitions, workers = _integer(repetitions, "repetitions"), _integer(workers, "workers")
     seeds = {
         label: [base_seed + rep for rep in range(repetitions if kind == "mc" else 1)]
         for label, kind in _parse_estimators(estimators).items()
     }
-    spec = spec if spec is not None else StatisticSpec(constraint_stat="margin", kappa=2.0)
-    optimizer = optimizer if optimizer is not None else OptimizerSettings()
     model = _noise_model(
         problem.config.p_coupling, sigma if sigma is not None else problem.uncertainty
     )
@@ -306,7 +300,7 @@ def run_benchmark(
         t=float(problem.t),
         statistic=_record(spec),
         optimizer={"method": "SLSQP", **_record(optimizer), "g_tol": _G_TOL},
-        mda=_record(mda_settings if mda_settings is not None else MDASettings()),
+        mda=_record(mda_settings),
         sigma_blocks=[b.tolist() for b in model.sigma_blocks],
         base_seed=base_seed,
         repetitions=repetitions,

@@ -32,7 +32,7 @@ from .errors import NumericalError, UndefinedMetricError
 from .mda import MDASettings, solve_mda
 # ``assemble`` and ``exact_stats`` are unused here; perfbench's SPAN_POINTS
 # and tests/test_tracer_points.py look them up under ``umdobench.driver``.
-from .problem import UncertaintyModel, assemble  # noqa: F401
+from .problem import UncertaintyModel, _integer, assemble  # noqa: F401
 from .uq import GaussianSampler, composed_value, exact_stats, mc_estimate  # noqa: F401
 
 __all__ = [
@@ -96,8 +96,7 @@ class OptimizerSettings:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
 
 
 @dataclass
@@ -137,8 +136,12 @@ class RobustEvaluator:
     them read one statistical evaluation. The evaluator owns the
     discipline-evaluation counter (one unit = one sweep of all disciplines,
     i.e. one fixed-point iteration or one direct solve, counted per
-    realization) and the dropped-realization counter. A Monte-Carlo design
-    point costs one block coupling solve over all M realizations.
+    realization) and the dropped-realization counter. A design point adds,
+    for ``mc``, the sweeps of the mean-noise solve its realizations start
+    from (none under the direct method) and those of the one block coupling
+    solve over all M realizations; for ``taylor``, the sweeps of its one
+    coupling solve plus 1 for its linearization; for ``exact``, 1, with no
+    coupling solve. A point already evaluated adds nothing.
     ``point_converged`` says whether the cached evaluation converged: for
     ``taylor`` its coupling solve, for ``mc`` every realization's (none was
     dropped) and, under a fixed-point method, the mean-noise solve they start
@@ -174,7 +177,7 @@ class RobustEvaluator:
       the affine map or a coupling solve, and build no sampler.
     """
 
-    def __init__(self, system, t, sigma, spec, estimator, seed=0, mda_settings=None):
+    def __init__(self, system, t, sigma, spec, estimator, seed=0, mda_settings=MDASettings()):
         kind, m = parse_estimator(estimator)
         model = _noise_model(system.p_coupling, sigma)
         # Building the affine map, which the gradients read, refuses outputs
@@ -185,7 +188,7 @@ class RobustEvaluator:
         self.spec = spec
         self.estimator = estimator
         self._kind = kind
-        self.mda_settings = mda_settings or MDASettings()
+        self.mda_settings = mda_settings
         if kind == "mc":
             # Common random numbers: one sample serves every design point.
             self._samples = GaussianSampler(model).draw(m, seed)
@@ -313,7 +316,7 @@ def _noise_model(p_coupling, sigma) -> UncertaintyModel:
     return sigma
 
 
-def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = None) -> RunResult:
+def optimize(evaluator: RobustEvaluator, settings=OptimizerSettings()) -> RunResult:
     """Minimize the evaluator's objective subject to its constraints <= 0
     and the unit box, in the evaluator's ``system.d`` design variables.
 
@@ -323,8 +326,6 @@ def optimize(evaluator: RobustEvaluator, settings: OptimizerSettings | None = No
     constraint is below ``1e-4`` and the evaluation at the final iterate
     converged; ``message`` says why SLSQP stopped.
     """
-    if settings is None:
-        settings = OptimizerSettings()
     dim = evaluator.system.d
     evals_before = evaluator.n_discipline_evals
 

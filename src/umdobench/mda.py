@@ -70,8 +70,8 @@ class MDASettings:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
 
 
 @dataclass
@@ -124,7 +124,7 @@ def solve_mda(
     system,
     x,
     u=None,
-    settings: MDASettings | None = None,
+    settings: MDASettings = MDASettings(),
     y0=None,
 ) -> MDAResult:
     """Solve ``C y = a - D x + u`` for the coupling vector y.
@@ -144,14 +144,12 @@ def solve_mda(
         Additive noise on the coupling equations: one realization or a block
         of m realizations, one per row (default 0).
     settings : MDASettings, optional
-        Method and tolerance (default Jacobi, tol 1e-4). Every row of a
-        block gets the sweep budget its own solve would get.
+        Method and tolerance (default ``MDASettings()``: Jacobi, tol 1e-4).
+        Every row of a block gets the sweep budget its own solve would get.
     y0 : array_like, shape (p,), optional
         Initial iterate of every row for the fixed-point methods (default 0).
         Ignored by the direct method.
     """
-    if settings is None:
-        settings = MDASettings()
     x = np.asarray(x, dtype=float)
     if x.shape != (system.d,):
         raise ValueError(f"x must have shape ({system.d},), got {x.shape}")

@@ -78,6 +78,17 @@ MAX_COUPLING_STRENGTH = 0.99
 _TUNE_BLOCK_BYTES = 1 << 20
 
 
+def _integer(value, name, minimum=1) -> int:
+    """``value`` as an int of at least ``minimum``. Bools and non-integral
+    values, even 2.0, raise ValueError naming ``name``, where ``int()`` would
+    read 2.7 as 2 and True as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Dimensions and generation parameters of a scalable problem.
@@ -87,7 +98,7 @@ class ProblemConfig:
     n_disciplines : int
         Number of coupled disciplines N (>= 1).
     d_shared : int
-        Dimension of the design variables shared by all disciplines.
+        Dimension (>= 1) of the design variables shared by all disciplines.
     d_local : tuple of int
         Per-discipline local design dimensions, length N.
     p_coupling : tuple of int
@@ -107,8 +118,8 @@ class ProblemConfig:
         Target fraction, in (0, 1), of the unit design hypercube that should
         satisfy all constraints after threshold tuning.
     seed : int
-        Seed of the generation PRNG (PCG64). Generation is a pure function
-        of this configuration.
+        Seed of the generation PRNG (PCG64), >= 0. Generation is a pure
+        function of this configuration.
     """
 
     n_disciplines: int
@@ -120,17 +131,14 @@ class ProblemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "d_local", tuple(int(v) for v in self.d_local))
-        object.__setattr__(self, "p_coupling", tuple(int(v) for v in self.p_coupling))
-        if self.n_disciplines < 1:
-            raise ValueError("n_disciplines must be >= 1")
-        if self.d_shared < 1:
-            raise ValueError("d_shared must be >= 1")
-        for name, dims in (("d_local", self.d_local), ("p_coupling", self.p_coupling)):
+        for name in ("n_disciplines", "d_shared"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", minimum=0))
+        for name in ("d_local", "p_coupling"):
+            dims = tuple(_integer(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name)))
             if len(dims) != self.n_disciplines:
                 raise ValueError(f"{name} must have length n_disciplines")
-            if any(v < 1 for v in dims):
-                raise ValueError(f"all {name} entries must be >= 1")
+            object.__setattr__(self, name, dims)
         for i, (p, d) in enumerate(zip(self.p_coupling, self.d_local)):
             if p < d:
                 raise ValueError(
@@ -541,8 +549,7 @@ def tune_feasibility(
     rounds a row of such a block as it does in the one-shot product; a 1- or
     2-row block would round differently.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    n_samples = _integer(n_samples, "n_samples", minimum=2)
     system = assemble(problem)
     alpha, beta, _ = system.linear_map
     rng = np.random.default_rng(quantile_seed)

@@ -77,10 +77,10 @@ class StatisticSpec:
 class StatEstimate:
     """Mean/std estimate of a vector output plus the composed statistic.
 
-    ``value`` is the statistic the caller asked for (the mean by default,
-    ``mean + kappa * std`` under a :class:`StatisticSpec`). ``n_failed``
-    counts the Monte-Carlo realizations dropped because their coupling solve
-    did not converge.
+    ``value`` is the statistic: the mean from :func:`mc_estimate`, ``mean +
+    kappa * std`` under a :class:`StatisticSpec` from :func:`exact_stats`.
+    ``n_failed`` counts the Monte-Carlo realizations dropped because their
+    coupling solve did not converge.
     """
 
     mean: np.ndarray
@@ -104,12 +104,10 @@ class ExactStats:
     constraints: StatEstimate
 
 
-def composed_value(mean, std, spec: StatisticSpec | None) -> np.ndarray:
-    """The constraint statistic ``mean + kappa * std``; None means the
-    expectation (``kappa = 0``)."""
-    kappa = 0.0 if spec is None else spec.kappa
+def composed_value(mean, std, spec: StatisticSpec) -> np.ndarray:
+    """The constraint statistic ``mean + spec.kappa * std``."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    return mean + kappa * np.atleast_1d(np.asarray(std, dtype=float))
+    return mean + spec.kappa * np.atleast_1d(np.asarray(std, dtype=float))
 
 
 class GaussianSampler:
@@ -165,7 +163,7 @@ def mc_estimate(values) -> StatEstimate:
     return StatEstimate(mean=mean, std=std, value=mean.copy(), n_failed=m - len(values))
 
 
-def exact_stats(system, t: float, sigma, x, spec: StatisticSpec | None = None) -> ExactStats:
+def exact_stats(system, t, sigma, x, spec=StatisticSpec("expectation")) -> ExactStats:
     """Closed-form statistics of the objective and constraints.
 
     The coupling solution is affine in the Gaussian noise, so everything is
@@ -175,8 +173,8 @@ def exact_stats(system, t: float, sigma, x, spec: StatisticSpec | None = None) -
     Gaussian with mean ``Ax - b`` and standard deviation
     ``sqrt(diag(P Sigma P'))``. Only the objective std needs the full
     covariance ``P Sigma P'``; everything else reads
-    :meth:`~umdobench.problem.BlockSystem.output_variance`. Serves as the
-    ground-truth oracle for benchmarking the sampled estimators.
+    :meth:`~umdobench.problem.BlockSystem.output_variance`; ``spec`` composes
+    the constraint ``value``. The ground-truth oracle for the sampled estimators.
     """
     x = np.asarray(x, dtype=float)
     alpha, beta, P = system.linear_map

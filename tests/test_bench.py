@@ -373,6 +373,10 @@ def test_argument_validation():
         run_benchmark(problem, (), workers=1)
     with pytest.raises(ValueError, match="workers"):
         run_benchmark(problem, ("exact",), workers=0)
+    with pytest.raises(ValueError, match="repetitions must be an integer"):
+        run_benchmark(problem, ("exact",), repetitions=2.5)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        run_benchmark(problem, ("exact",), workers=True)
     with pytest.raises(ValueError, match="p_coupling"):
         run_benchmark(
             problem, ("exact",), sigma=UncertaintyModel.isotropic((2, 4), 0.01), workers=1

@@ -49,6 +49,12 @@ LABEL_IDS = ["exact-200", "taylor-200", "mc-50"]
 def test_settings_validation():
     with pytest.raises(ValueError):
         OptimizerSettings(max_iter=0)
+    # int() would run 2 SLSQP iterations for 2.5 and 1 for True.
+    for bad in (2.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            OptimizerSettings(max_iter=bad)
+    settings = OptimizerSettings(max_iter=np.int64(5))
+    assert settings == OptimizerSettings(max_iter=5) and type(settings.max_iter) is int
 
 
 def test_evaluator_argument_validation():
@@ -463,7 +469,7 @@ class RunResultStub:
         self.g_opt = g_opt
 
 
-def test_discipline_eval_accounting_with_iterative_mda():
+def test_discipline_eval_accounting_with_iterative_mda(monkeypatch):
     problem = tuned_problem(7)
     system = assemble(problem)
     mda = MDASettings(method="jacobi", tol=1e-4)
@@ -482,6 +488,32 @@ def test_discipline_eval_accounting_with_iterative_mda():
     assert np.all(block.row_iterations >= 2)
     assert evaluator.n_discipline_evals == center.iterations + block.iterations
     assert evaluator.n_failed_samples == 0
+
+    # Taylor counts the sweeps of its one coupling solve plus 1 for its
+    # linearization.
+    taylor = RobustEvaluator(
+        system, problem.t, problem.uncertainty, MARGIN, "taylor", mda_settings=mda
+    )
+    taylor.objective(x)
+    assert taylor.n_discipline_evals == center.iterations + 1
+    # exact counts 1 and solves nothing: it reads the affine map.
+    import umdobench.driver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("exact made a coupling solve")
+
+    monkeypatch.setattr(umdobench.driver, "solve_mda", no_solve)
+    exact = RobustEvaluator(
+        system, problem.t, problem.uncertainty, MARGIN, "exact", mda_settings=mda
+    )
+    exact.objective(x)
+    assert exact.n_discipline_evals == 1
+    # A point already evaluated costs nothing more.
+    for evaluator in (taylor, exact):
+        before = evaluator.n_discipline_evals
+        evaluator.constraints(x)
+        evaluator.gradient(x)
+        assert evaluator.n_discipline_evals == before
 
 
 def strength_problem(strength, seed):

@@ -33,18 +33,19 @@ print(",".join(m for m in {DEFERRED!r} if m in sys.modules))
 """
 
 
-def _run(probe):
+def _run(*args):
+    """The standard output of ``python *args`` run on this source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
 
 
 def test_import_defers_unused_modules():
-    assert _run(PROBE).strip() == ""
+    assert _run("-c", PROBE).strip() == ""
 
 
 def test_scipy_linalg_loads_at_the_first_factorization():
@@ -68,7 +69,7 @@ def test_scipy_linalg_loads_at_the_first_factorization():
     )
     import umdobench
 
-    out = json.loads(_run(probe))
+    out = json.loads(_run("-c", probe))
     assert out["states"] == [False, False, True]
     problem = umdobench.default_benchmark_problem()
     assert out["digest"] == umdobench.problem_digest(problem)
@@ -91,7 +92,12 @@ def test_import_defers_the_array_formatter():
         "umdobench.serialize(problem)\n"
         "print(*states, loaded())"
     )
-    assert _run(probe).split() == ["False", "False", "True"]
+    assert _run("-c", probe).split() == ["False", "False", "True"]
+
+
+def test_module_entry_point_runs_the_cli():
+    # README documents `python -m umdobench.cli` beside the console script.
+    assert _run("-m", "umdobench.cli", "--version") == "umdo-bench 0.1.0\n"
 
 
 def test_public_names_resolve():

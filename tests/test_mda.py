@@ -39,6 +39,11 @@ def test_settings_validation():
         MDASettings(method="newton")
     with pytest.raises(ValueError):
         MDASettings(tol=0.0)
+    # Every residual meets an infinite tol, so each solve would stop after
+    # one sweep and report converged.
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            MDASettings(tol=bad)
     # The sweep budget is derived from the system, not set.
     with pytest.raises(TypeError):
         MDASettings(max_iter=30)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_config_validation():
         ProblemConfig(0, 1, (), (), seed=0)
     with pytest.raises(ValueError):
         ProblemConfig(2, 1, (1,), (1, 1), seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("d_local[0] must be >= 1")):
         ProblemConfig(1, 1, (0,), (1,), seed=0)
     with pytest.raises(ValueError):
         ProblemConfig(1, 1, (1,), (1,), coupling_strength=1.0)
@@ -111,6 +112,34 @@ def test_config_validation():
         ProblemConfig(1, 1, (1,), (1,), coupling_strength=0.9999999)
     with pytest.raises(ValueError):
         ProblemConfig(1, 1, (1,), (1,), feasibility_level=0.0)
+    with pytest.raises(ValueError, match="d_shared must be >= 1"):
+        ProblemConfig(1, 0, (1,), (1,))
+    # numpy's PCG64 takes no negative seed.
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ProblemConfig(1, 1, (1,), (1,), seed=-1)
+    # Integer fields take ints, numpy's too, and refuse bools and every
+    # non-integral value; int() used to read (2.7,) as (2,) and (3.9,) as
+    # (3,), and 2.0 or 1.5 failed later inside numpy.
+    for args, kwargs, field in (
+        ((1, 1, (2.7,), (3,)), {}, "d_local[0]"),
+        ((1, 1, (2,), (3.9,)), {}, "p_coupling[0]"),
+        ((1, 1, (2.7,), (3.9,)), {}, "d_local[0]"),
+        ((2, 1, (2, 2), (3, True)), {}, "p_coupling[1]"),
+        ((2.0, 1, (2, 2), (3, 3)), {}, "n_disciplines"),
+        ((1, 1.5, (2,), (3,)), {}, "d_shared"),
+        ((1, True, (2,), (3,)), {}, "d_shared"),
+        ((1, 1, (2,), (3,)), {"seed": 1.5}, "seed"),
+        ((1, 1, (2,), (3,)), {"seed": True}, "seed"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):
+            ProblemConfig(*args, **kwargs)
+    i = np.int64
+    config = ProblemConfig(i(2), i(1), (i(2), np.int32(2)), (i(3), i(3)), seed=np.uint8(70))
+    plain = ProblemConfig(2, 1, (2, 2), (3, 3), seed=70)
+    assert config == plain
+    ints = (config.n_disciplines, config.d_shared, config.seed, *config.d_local, *config.p_coupling)
+    assert all(type(v) is int for v in ints)
+    assert serialize(generate(config)) == serialize(generate(plain))
 
 
 def test_well_posedness_predicate():
@@ -249,6 +278,12 @@ def test_tuning_quantile_uses_linear_interpolation():
     problem = make_toy_problem()
     n, q_seed, level = 501, 77, problem.config.feasibility_level
     t = tune_feasibility(problem, n_samples=n, quantile_seed=q_seed)
+    # A quantile interpolates between two samples at least.
+    tune_feasibility(make_toy_problem(), n_samples=2)
+    with pytest.raises(ValueError, match="n_samples must be >= 2"):
+        tune_feasibility(make_toy_problem(), n_samples=1)
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        tune_feasibility(make_toy_problem(), n_samples=2.5)
 
     X = np.random.default_rng(q_seed).random((n, 2))
     mins = np.sort(1.0 - X.sum(axis=1))
@@ -332,6 +367,9 @@ def test_roundtrip_is_bitwise(small_config):
     zero_noise.uncertainty = UncertaintyModel.isotropic(small_config.p_coupling, 0.0)
     assert noiseless != zero_noise
     assert noiseless == deserialize(serialize(noiseless))
+    # Only a problem compares equal to a problem.
+    assert problem.__eq__(problem.config) is NotImplemented
+    assert problem != serialize(problem)
 
 
 def test_serialization_uses_17_significant_digits():
@@ -392,6 +430,10 @@ def test_scalar_floats_are_written_as_17_significant_digits(small_config):
         text = serialize(generate(config)).decode("ascii")
         assert f'"coupling_strength": {_format_one(x)}, ' in text, x
         assert _same_bits(deserialize(text).config.coupling_strength, x), x
+    # A threshold that is no number is refused, not written as text.
+    problem.t = "0.5"
+    with pytest.raises(TypeError, match="cannot serialize str"):
+        serialize(problem)
     assert _format_one(-0.0) == "-0.0" and _format_one(5e-324) == "4.9406564584124654e-324"
     assert _format_one(1e17) == "1e+17"
 
@@ -777,6 +819,7 @@ def test_deserialize_rejects_bad_inputs(small_config):
         (set_config("seed", 70.9), "config.seed"),
         (set_config("d_local", [2.5, 2]), "config.d_local[0]"),
         (set_config("d_shared", True), "config.d_shared"),
+        (set_config("d_local", 2), "config.d_local"),
         (set_config("coupling_strength", True), "config.coupling_strength"),
         (set_index(0, 0.9), "C_blocks"),
         (set_index(1, True), "C_blocks"),
@@ -794,6 +837,10 @@ def test_deserialize_rejects_bad_inputs(small_config):
         (set_index(0, 5), "C_blocks"),  # out of range
         (set_index(1, 0), "C_blocks"),  # i == j
         (lambda doc: doc["C_blocks"].pop(), "C_blocks"),  # a block missing
+        (lambda doc: doc["D_local"].append(doc["D_local"][0]), "D_local"),  # one too many
+        (lambda doc: doc.pop("version"), "version"),
+        (lambda doc: doc.pop("config"), "config"),
+        (lambda doc: doc.clear(), "version"),  # the document {}
         (set_config("coupling_strength", 1.5), "config"),
         (set_config("coupling_strength", 0.995), "config"),
         (not_psd_sigma_block, "sigma_blocks"),
@@ -829,6 +876,8 @@ def test_deserialize_rejects_bad_inputs(small_config):
         b"\xff" + payload,  # not UTF-8: UnicodeDecodeError
         "[" * 100_000,  # nested past the recursion limit: RecursionError
         '{"version": ' + "1" * 5000 + "}",  # past the int digit limit: ValueError
+        '{"vers\\qion": 1}',  # a key with a bad escape
+        payload + b" []",  # text after the object
     ):
         with pytest.raises(ProblemFormatError) as err:
             deserialize(data)
@@ -1033,6 +1082,10 @@ def test_uncertainty_model_validation():
             UncertaintyModel((np.full((2, 2), value),))
         with pytest.raises(ValueError, match="std must be finite"):
             UncertaintyModel.isotropic((2, 3), value)
+    with pytest.raises(ValueError, match="sigma block 1 is not square"):
+        UncertaintyModel((np.eye(2), np.ones((2, 3))))
+    with pytest.raises(ValueError, match="std must be >= 0"):
+        UncertaintyModel.isotropic((2, 3), -0.1)
     model = UncertaintyModel.isotropic((2, 3), 0.1)
     assert model.sigma.shape == (5, 5)
     assert np.allclose(model.sigma, 0.01 * np.eye(5))

@@ -308,11 +308,52 @@ def test_rank_deficient_configuration_reports_near_zero_eigenvalue():
     assert np.sum(singular_values > 1e-12) < qp.dim
 
 
+def test_singular_normal_matrix_takes_the_regularized_factorization(monkeypatch):
+    # On the rank-deficient shape, at thresholds that leave the QP feasible,
+    # some interior-point iterations meet a normal matrix Cholesky refuses and
+    # factor it with a diagonal shift. Such a solve raises nothing, ends
+    # optimal or out of iterations, and an optimal one meets its tolerances.
+    import scipy.linalg
+
+    factor = scipy.linalg.cho_factor
+    refused = []
+
+    def counting_factor(*args, **kwargs):
+        try:
+            return factor(*args, **kwargs)
+        except scipy.linalg.LinAlgError:
+            refused.append(1)
+            raise
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_factor)
+    tol, shifted = 1e-9, 0
+    for seed in range(30):
+        system = rank_deficient_system(seed)
+        alpha_min = float(system.linear_map[0].min())
+        for t in (alpha_min - 1.0, alpha_min - 0.1, alpha_min):
+            qp = reduce_deterministic(system, t)
+            assert not check_positive_definite(qp)[0]
+            refused.clear()
+            sol = solve_qp(qp, tol)
+            shifted += bool(refused)
+            assert sol.status in ("optimal", "max_iter"), (seed, t, sol.status)
+            if sol.status == "optimal":
+                scale = max(1.0, np.abs(qp.c).max(), np.abs(qp.b).max())
+                assert sol.kkt_residual <= tol * scale, (seed, t)
+                assert np.all(sol.g_star <= tol * scale), (seed, t)
+                assert np.all((sol.x_star >= -tol * scale) & (sol.x_star <= 1.0 + tol * scale))
+    assert shifted > 0
+
+
 def test_qpdata_validation():
     with pytest.raises(ValueError):
         QPData(Q=[[1.0, 0.5], [0.0, 1.0]], c=[0.0, 0.0], d0=0.0, A=np.zeros((0, 2)), b=np.zeros(0))
     with pytest.raises(ValueError):
         QPData(Q=np.eye(2), c=np.zeros(2), d0=0.0, A=np.zeros((2, 2)), b=np.zeros(3))
+    with pytest.raises(ValueError, match=r"Q must have shape \(2, 2\)"):
+        QPData(Q=np.eye(3), c=np.zeros(2), d0=0.0, A=np.zeros((1, 2)), b=np.zeros(1))
+    with pytest.raises(ValueError, match="A must have 2 columns"):
+        QPData(Q=np.eye(2), c=np.zeros(2), d0=0.0, A=np.zeros((1, 3)), b=np.zeros(1))
 
 
 @pytest.mark.parametrize("name", ["Q", "c", "d0", "A", "b"])

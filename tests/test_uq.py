@@ -76,7 +76,6 @@ def test_spec_validation():
 
 def test_composed_value():
     mean, std = np.array([1.0, -1.0]), np.array([0.5, 2.0])
-    assert np.array_equal(composed_value(mean, std, None), mean)
     exp_spec = StatisticSpec(constraint_stat="expectation")
     assert np.array_equal(composed_value(mean, std, exp_spec), mean)
     margin = StatisticSpec(constraint_stat="margin", kappa=2.0)
@@ -297,6 +296,11 @@ def test_exact_stats_isotropic_decoupled_case():
     assert stats.objective.mean[0] - no_noise.objective.mean[0] == pytest.approx(
         p * std ** 2, rel=1e-12
     )
+    # The constraint value is the expectation unless a spec shifts it.
+    cons = stats.constraints
+    assert np.array_equal(cons.value, cons.mean)
+    margin = exact_stats(system, 0.0, sigma, x, StatisticSpec(kappa=2.0)).constraints
+    assert np.array_equal(margin.value, cons.mean + 2.0 * cons.std)
 
 
 def test_exact_stats_against_large_sample():
